@@ -206,19 +206,24 @@ def _winding(A, B, tau, x0, x1, y0, y1):
 
 
 def _newton(A: float, B: float, tau: float, seed: complex):
+    """Polish a root from seed; None when the seed fails (an overflowing
+    exponential included)."""
     lam = seed
-    for _ in range(80):
+    try:
+        for _ in range(80):
+            g = lam + A + B * cmath.exp(-lam * tau)
+            if abs(g) < 1e-13:
+                return lam, abs(g)
+            dg = 1.0 - B * tau * cmath.exp(-lam * tau)
+            if dg == 0.0:
+                break
+            step = g / dg
+            lam = lam - step
+            if not (math.isfinite(lam.real) and math.isfinite(lam.imag)):
+                return None
         g = lam + A + B * cmath.exp(-lam * tau)
-        if abs(g) < 1e-13:
-            return lam, abs(g)
-        dg = 1.0 - B * tau * cmath.exp(-lam * tau)
-        if dg == 0.0:
-            break
-        step = g / dg
-        lam = lam - step
-        if not (math.isfinite(lam.real) and math.isfinite(lam.imag)):
-            return None
-    g = lam + A + B * cmath.exp(-lam * tau)
+    except OverflowError:
+        return None
     if abs(g) < 1e-12:
         return lam, abs(g)
     return None

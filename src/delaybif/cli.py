@@ -18,7 +18,6 @@ import csv
 import dataclasses
 import enum
 import json
-import math
 import os
 import sys
 from typing import Optional
@@ -28,14 +27,7 @@ import numpy as np
 from . import __version__
 from .chareq import RootSearchRegion, critical_eta, rightmost_roots, stability_verdict
 from .convergence import rate_of_convergence, sweep_tau
-from .ddesim import (
-    LimitCycleMetrics,
-    SimConfig,
-    Verdict,
-    integrate,
-    metrics,
-    sweep_bifurcation,
-)
+from .ddesim import SimConfig, integrate, metrics, sweep_bifurcation
 from .errors import DelayBifError, Divergence
 from .hopf import (
     classify,
@@ -43,6 +35,7 @@ from .hopf import (
     h_tilde,
     mu2_center_manifold,
     mu2_closed_form,
+    mu2_cubic_specialization,
     nicholson_mu2,
     nicholson_mu2_shape,
 )
@@ -120,40 +113,27 @@ def _get_bool(cp, section, key, default=False) -> bool:
         raise _ConfigError(f"[{section}] {key} = {raw!r} is not a boolean")
 
 
+_VARIANTS = {cls.variant: cls for cls in (CubicBD, QuadraticBD, Nicholson, Generic)}
+
+
 def _build_model(cp):
     variant = _get(cp, "model", "variant", required=True)
-    if variant == "cubic":
-        return CubicBD(k=_get_float(cp, "model", "k", required=True),
-                       mu=_get_float(cp, "model", "mu", required=True),
-                       lam=_get_float(cp, "model", "lam", required=True),
-                       tau=_get_float(cp, "model", "tau", required=True))
-    if variant == "quadratic":
-        return QuadraticBD(k=_get_float(cp, "model", "k", required=True),
-                           mu=_get_float(cp, "model", "mu", required=True),
-                           lam=_get_float(cp, "model", "lam", required=True),
-                           tau=_get_float(cp, "model", "tau", required=True))
-    if variant == "nicholson":
-        return Nicholson(gamma=_get_float(cp, "model", "gamma", required=True),
-                         p_rate=_get_float(cp, "model", "p_rate", required=True),
-                         x0_size=_get_float(cp, "model", "x0_size", required=True),
-                         tau=_get_float(cp, "model", "tau", required=True))
-    if variant == "generic":
-        coeffs = TaylorCoefficients(
-            xi_x=_get_float(cp, "model", "xi_x", required=True),
-            xi_y=_get_float(cp, "model", "xi_y", required=True),
-            xi_xx=_get_float(cp, "model", "xi_xx", 0.0),
-            xi_xy=_get_float(cp, "model", "xi_xy", 0.0),
-            xi_yy=_get_float(cp, "model", "xi_yy", 0.0),
-            xi_xxx=_get_float(cp, "model", "xi_xxx", 0.0),
-            xi_xxy=_get_float(cp, "model", "xi_xxy", 0.0),
-            xi_xyy=_get_float(cp, "model", "xi_xyy", 0.0),
-            xi_yyy=_get_float(cp, "model", "xi_yyy", 0.0),
-            tau=_get_float(cp, "model", "tau", required=True),
-        )
-        return Generic(coeffs)
-    raise _ConfigError(
-        f"unknown model variant {variant!r} "
-        "(expected cubic, quadratic, nicholson, or generic)")
+    cls = _VARIANTS.get(variant)
+    if cls is None:
+        raise _ConfigError(
+            f"unknown model variant {variant!r} "
+            "(expected cubic, quadratic, nicholson, or generic)")
+    # a generic model is read as its Taylor coefficients: the delay stays
+    # required and the unset higher-order coefficients default to 0
+    target = TaylorCoefficients if cls is Generic else cls
+    values = {}
+    for field in dataclasses.fields(target):
+        optional = field.default is not dataclasses.MISSING and field.name != "tau"
+        values[field.name] = _get_float(cp, "model", field.name,
+                                        field.default if optional else None,
+                                        required=not optional)
+    spec = target(**values)
+    return Generic(spec) if cls is Generic else spec
 
 
 def _sim_config(cp) -> SimConfig:
@@ -312,9 +292,8 @@ def _cmd_sweep(cp, outdir: str, fmt: str) -> int:
             if isinstance(model, Nicholson):
                 mu2 = nicholson_mu2_shape(eps, model.x0_size)
             else:
-                b = coeffs.b
-                mu2 = ((coeffs.xi_xx ** 2 / (b * b)) * gt
-                       + (coeffs.xi_xxx / b) * ht)
+                mu2 = mu2_cubic_specialization(
+                    dataclasses.replace(coeffs, xi_x=-eps * coeffs.b))
             rows.append([eps, gt, ht, mu2])
         stem = "nicholson_mu2" if isinstance(model, Nicholson) else "gtilde"
         outputs.append(_write_table(
@@ -327,22 +306,11 @@ def _cmd_sweep(cp, outdir: str, fmt: str) -> int:
 def _cmd_simulate(cp, outdir: str, fmt: str) -> int:
     model = _build_model(cp)
     config = _sim_config(cp)
+    failure = None
     try:
         traj = integrate(model, config)
     except Divergence as exc:
-        traj = exc.trajectory
-        outputs = []
-        if traj is not None:
-            outputs.append(_write_csv(outdir, "trajectory.csv", ["t", "x"],
-                                      list(zip(traj.times, traj.values))))
-            m = metrics(traj)
-        else:
-            m = LimitCycleMetrics(Verdict.DIVERGED, math.nan, math.nan,
-                                  math.nan)
-        outputs.append(_write_json(outdir, "metrics.json", m))
-        _write_manifest(outdir, "simulate", cp, outputs)
-        sys.stderr.write(f"error: {exc}\n")
-        return 4
+        traj, failure = exc.trajectory, exc
     m = metrics(traj)
     outputs = [
         _write_csv(outdir, "trajectory.csv", ["t", "x"],
@@ -350,6 +318,9 @@ def _cmd_simulate(cp, outdir: str, fmt: str) -> int:
         _write_json(outdir, "metrics.json", m),
     ]
     _write_manifest(outdir, "simulate", cp, outputs)
+    if failure is not None:
+        sys.stderr.write(f"error: {failure}\n")
+        return 4
     sys.stdout.write(f"verdict: {m.verdict.value}\n")
     return 0
 

@@ -1,10 +1,11 @@
 """Method-of-steps integration of the full nonlinear delay equation.
 
 This is the brute-force companion to the closed-form analysis: a fixed-step
-fourth-order integrator whose delayed argument comes from piecewise-cubic
-interpolation of the stored history, plus verdict extraction (equilibrium,
-limit cycle, divergence) from the resulting trajectory.  Fixed stepping
-keeps runs bit-reproducible; there is no adaptive error control.
+fourth-order integrator, plus verdict extraction (equilibrium, limit cycle,
+divergence) from the resulting trajectory.  dt must divide tau; delayed
+values come from nodes and interval midpoints of the stored history, the
+midpoints by cubic Hermite interpolation.  Fixed stepping keeps runs
+bit-reproducible; there is no adaptive error control.
 """
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import Divergence, InvalidSpec, StepTooLarge
-from .models import ModelSpec, delay_of, equilibrium, rhs
+from .models import ModelSpec, delay_of, equilibrium
 
 __all__ = [
     "DIVERGENCE_THRESHOLD",
@@ -44,8 +45,10 @@ class SimConfig:
 
     The initial history on [-tau, 0] is the constant x_init.  dt = None
     picks the default tau/100 at integration time; whatever the value, the
-    step must resolve the delay with dt <= tau/20.  transient_fraction of
-    the trajectory is dropped before any metric is computed.
+    step must resolve the delay with dt <= tau/20, and dt must divide tau;
+    delayed values come from nodes and interval midpoints.
+    transient_fraction of the trajectory is dropped before any metric is
+    computed.
     """
 
     eta: float
@@ -105,86 +108,86 @@ class LimitCycleMetrics:
     decay_rate: float
 
 
+def _step(config: SimConfig, tau: float) -> float:
+    """The step of a run: config.dt, or tau/100 when it is unset."""
+    return config.dt if config.dt is not None else tau / 100.0
+
+
 def integrate(spec: ModelSpec, config: SimConfig) -> Trajectory:
     """Integrate x'(t) = eta*f(x(t), x(t-tau)) by the method of steps.
 
-    Classic fourth-order Runge-Kutta with a fixed step.  The delayed value
-    is read from a cubic Hermite interpolant through the stored samples and
-    their derivatives, so every stage lookup lands in already-completed
-    history (guaranteed by dt <= tau/20).  History on [-tau, 0] is the
-    constant config.x_init.
+    Classic fourth-order Runge-Kutta with a fixed step dt = tau/m for a
+    whole number m.  dt must divide tau; delayed values come from nodes and
+    interval midpoints: stage k4 and the derivative at the new node read
+    node i-m+1 of the stored history, stages k2 and k3 the midpoint of
+    [i-m, i-m+1], where the cubic Hermite interpolant through the samples
+    and their derivatives is 0.5*(x_j + x_j+1) + dt/8*(f_j - f_j+1).
+    History on [-tau, 0] is the constant config.x_init.
 
     Raises
     ------
     StepTooLarge
         If dt > tau/20.
     InvalidSpec
-        If t_end < 50*tau.
+        If dt does not divide tau, or t_end < 50*tau.
     Divergence
-        If |x| exceeds 1e6; the partial trajectory (finite prefix) is
-        attached to the exception as .trajectory.
+        If |x| exceeds 1e6, or a stage overflows; the partial trajectory
+        (finite prefix) is attached to the exception as .trajectory.
     """
     tau = delay_of(spec)
-    dt = config.dt if config.dt is not None else tau / 100.0
+    dt = _step(config, tau)
     if dt > tau / 20.0 * (1.0 + 1e-12):
         raise StepTooLarge(
             f"dt = {dt:.6g} does not resolve the delay: dt <= tau/20 = "
             f"{tau / 20.0:.6g} required")
+    m = round(tau / dt)
+    if abs(m * dt - tau) > 1e-12 * tau:
+        raise InvalidSpec(
+            f"dt = {dt:.6g} does not divide tau = {tau:.6g}: dt = tau/m "
+            "for a whole number m required")
     if config.t_end < 50.0 * tau * (1.0 - 1e-12):
         raise InvalidSpec(
             f"t_end = {config.t_end:.6g} too short: t_end >= 50*tau = "
             f"{50.0 * tau:.6g} required")
+    f = spec.rhs
     eta = config.eta
     n = int(round(config.t_end / dt))
-    xs = [0.0] * (n + 1)
-    fs = [0.0] * (n + 1)
     x0 = float(config.x_init)
-
-    def f(x: float, xd: float) -> float:
-        return rhs(spec, x, xd, eta)
-
-    def lookup(s: float) -> float:
-        # delayed-state readout: constant history for s <= 0, cubic Hermite
-        # through (x_i, f_i) otherwise
-        if s <= 0.0:
-            return x0
-        i = int(s / dt)
-        if i > n - 1:
-            i = n - 1
-        th = s / dt - i
-        if th < 0.0:
-            th = 0.0
-        h00 = (2.0 * th - 3.0) * th * th + 1.0
-        h10 = ((th - 2.0) * th + 1.0) * th
-        h01 = (3.0 - 2.0 * th) * th * th
-        h11 = (th - 1.0) * th * th
-        return (h00 * xs[i] + h01 * xs[i + 1]
-                + dt * (h10 * fs[i] + h11 * fs[i + 1]))
-
-    xs[0] = x0
-    fs[0] = f(x0, x0)
+    xs = [x0] * (n + 1)
+    fs = [0.0] * (n + 1)
     half = 0.5 * dt
     sixth = dt / 6.0
-    for i in range(n):
-        t = i * dt
-        x = xs[i]
-        k1 = fs[i]
-        k2 = f(x + half * k1, lookup(t + half - tau))
-        k3 = f(x + half * k2, lookup(t + half - tau))
-        k4 = f(x + dt * k3, lookup(t + dt - tau))
-        xn = x + sixth * (k1 + 2.0 * (k2 + k3) + k4)
-        if not (abs(xn) <= DIVERGENCE_THRESHOLD):
-            partial = Trajectory(
-                times=np.arange(i + 1, dtype=float) * dt,
-                values=np.array(xs[:i + 1]),
-                model=spec, config=config)
-            raise Divergence(
-                f"|x| exceeded {DIVERGENCE_THRESHOLD:.0e} at t = "
-                f"{t + dt:.6g}", trajectory=partial)
-        xs[i + 1] = xn
-        fs[i + 1] = f(xn, lookup(t + dt - tau))
-    return Trajectory(times=np.arange(n + 1, dtype=float) * dt,
-                      values=np.array(xs), model=spec, config=config)
+    eighth = 0.125 * dt
+    i = 0
+    try:
+        fs[0] = f(x0, x0, eta)
+        for i in range(n):
+            j = i - m
+            if j < 0:
+                # both delayed reads still fall in the constant history
+                x_mid = x_node = x0
+            else:
+                x_node = xs[j + 1]
+                x_mid = 0.5 * (xs[j] + x_node) + eighth * (fs[j] - fs[j + 1])
+            x = xs[i]
+            k1 = fs[i]
+            k2 = f(x + half * k1, x_mid, eta)
+            k3 = f(x + half * k2, x_mid, eta)
+            k4 = f(x + dt * k3, x_node, eta)
+            xn = x + sixth * (k1 + 2.0 * (k2 + k3) + k4)
+            if not (abs(xn) <= DIVERGENCE_THRESHOLD):
+                break
+            xs[i + 1] = xn
+            fs[i + 1] = f(xn, x_node, eta)
+        else:
+            return Trajectory(times=np.arange(n + 1, dtype=float) * dt,
+                              values=np.array(xs), model=spec, config=config)
+    except OverflowError:
+        pass  # a stage that overflows has left the guard band as well
+    partial = Trajectory(times=np.arange(i + 1, dtype=float) * dt,
+                         values=np.array(xs[:i + 1]), model=spec, config=config)
+    raise Divergence(f"|x| exceeded {DIVERGENCE_THRESHOLD:.0e} at t = "
+                     f"{(i + 1) * dt:.6g}", trajectory=partial)
 
 
 def _refined_peaks(t: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -248,8 +251,7 @@ def metrics(traj: Trajectory) -> LimitCycleMetrics:
         prefix = vals[:stop]
         amp = 0.5 * float(prefix.max() - prefix.min()) if stop > 1 else 0.0
         return LimitCycleMetrics(Verdict.DIVERGED, amp, math.nan, math.nan)
-    dt = (traj.config.dt if traj.config.dt is not None
-          else delay_of(traj.model) / 100.0)
+    dt = _step(traj.config, delay_of(traj.model))
     if len(vals) < int(round(traj.config.t_end / dt)) + 1:
         amp = 0.5 * float(vals.max() - vals.min()) if len(vals) > 1 else 0.0
         return LimitCycleMetrics(Verdict.DIVERGED, amp, math.nan, math.nan)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
 
 from .errors import InvalidSpec, InvariantViolation, NoEquilibrium
 
@@ -92,48 +91,130 @@ class TaylorCoefficients:
 
 
 @dataclass(frozen=True)
-class CubicBD:
-    """Delayed cubic oscillator x' = -(x^3 - mu*x + lam) - k*x(t-tau)."""
+class EquilibriumReport:
+    x_e: float
+    residual: float
+
+
+class ModelSpec:
+    """Base of every model variant: the one place a model's maths lives.
+
+    A variant supplies ``variant`` (its name in configs), ``tau``, and the
+    methods ``equilibrium()``, ``taylor_coefficients()`` and
+    ``rhs(x, x_delayed, eta)``.  The module-level functions of the same
+    names check for a ModelSpec once and delegate.
+    """
+
+
+@dataclass(frozen=True)
+class _DelayedPolynomial(ModelSpec):
+    """Shared fields and validation of the delayed polynomial oscillators."""
 
     k: float
     mu: float
     lam: float
     tau: float
+
+    def __post_init__(self):
+        if self.k <= 0.0:
+            raise InvalidSpec(f"k > 0 required, got k = {self.k}")
+        if self.k <= self.mu:
+            raise InvalidSpec(f"k > mu required, got k = {self.k}, mu = {self.mu}")
+        if self.tau <= 0.0:
+            raise InvalidSpec(f"tau > 0 required, got tau = {self.tau}")
+
+
+@dataclass(frozen=True)
+class CubicBD(_DelayedPolynomial):
+    """Delayed cubic oscillator x' = -(x^3 - mu*x + lam) - k*x(t-tau).
+
+    Its equilibrium is the unique real root of x^3 + (k - mu) x + lam.
+    """
 
     variant = "cubic"
 
-    def __post_init__(self):
-        if self.k <= 0.0:
-            raise InvalidSpec(f"k > 0 required, got k = {self.k}")
-        if self.k <= self.mu:
-            raise InvalidSpec(f"k > mu required, got k = {self.k}, mu = {self.mu}")
-        if self.tau <= 0.0:
-            raise InvalidSpec(f"tau > 0 required, got tau = {self.tau}")
+    def equilibrium(self) -> EquilibriumReport:
+        # x^3 + (k - mu) x + lam is strictly increasing because k > mu, so
+        # plain bisection is safe; Newton polishes the bracketed root
+        c1 = self.k - self.mu
+
+        def poly(x: float) -> float:
+            return x * x * x + c1 * x + self.lam
+
+        lo = -1.0 - abs(self.lam) - self.k
+        hi = 1.0 + abs(self.lam) + self.k
+        flo = poly(lo)
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            if hi - lo < 1e-12:
+                break
+            fm = poly(mid)
+            if flo * fm <= 0.0:
+                hi = mid
+            else:
+                lo, flo = mid, fm
+        x = 0.5 * (lo + hi)
+        for _ in range(3):
+            d = 3.0 * x * x + c1
+            if d != 0.0:
+                x -= poly(x) / d
+        res = abs(x ** 3 + c1 * x + self.lam)
+        return EquilibriumReport(x_e=x, residual=res)
+
+    def taylor_coefficients(self) -> TaylorCoefficients:
+        x_e = self.equilibrium().x_e
+        return TaylorCoefficients(
+            xi_x=-(3.0 * x_e * x_e - self.mu),
+            xi_y=-self.k,
+            xi_xx=-3.0 * x_e,
+            xi_xxx=-1.0,
+            tau=self.tau,
+        )
+
+    def rhs(self, x: float, x_delayed: float, eta: float) -> float:
+        return eta * (-(x ** 3 - self.mu * x + self.lam) - self.k * x_delayed)
 
 
 @dataclass(frozen=True)
-class QuadraticBD:
-    """Delayed quadratic oscillator x' = -(x^2 - mu*x + lam) - k*x(t-tau)."""
+class QuadraticBD(_DelayedPolynomial):
+    """Delayed quadratic oscillator x' = -(x^2 - mu*x + lam) - k*x(t-tau).
 
-    k: float
-    mu: float
-    lam: float
-    tau: float
+    Of its up to two equilibria the larger root is preferred, falling back
+    to the smaller one if only that one yields an analyzable linearization
+    (a >= 0 and b > a).
+    """
 
     variant = "quadratic"
 
-    def __post_init__(self):
-        if self.k <= 0.0:
-            raise InvalidSpec(f"k > 0 required, got k = {self.k}")
-        if self.k <= self.mu:
-            raise InvalidSpec(f"k > mu required, got k = {self.k}, mu = {self.mu}")
-        if self.tau <= 0.0:
-            raise InvalidSpec(f"tau > 0 required, got tau = {self.tau}")
+    def equilibrium(self) -> EquilibriumReport:
+        for x in quadratic_roots(self):
+            a = 2.0 * x - self.mu
+            if a >= 0.0 and self.k > a:
+                res = abs(x * x + (self.k - self.mu) * x + self.lam)
+                return EquilibriumReport(x_e=x, residual=res)
+        raise InvariantViolation(
+            "neither quadratic equilibrium satisfies 0 <= a < b; "
+            "the model is outside the analyzable cone")
+
+    def taylor_coefficients(self) -> TaylorCoefficients:
+        x_e = self.equilibrium().x_e
+        return TaylorCoefficients(
+            xi_x=-(2.0 * x_e - self.mu),
+            xi_y=-self.k,
+            xi_xx=-1.0,
+            tau=self.tau,
+        )
+
+    def rhs(self, x: float, x_delayed: float, eta: float) -> float:
+        return eta * (-(x * x - self.mu * x + self.lam) - self.k * x_delayed)
 
 
 @dataclass(frozen=True)
-class Nicholson:
-    """Nicholson blowflies equation N' = -gamma*N + p*N_d*exp(-N_d/x0)."""
+class Nicholson(ModelSpec):
+    """Nicholson blowflies equation N' = -gamma*N + p*N_d*exp(-N_d/x0).
+
+    Its positive equilibrium is N* = x0 * ln(p/gamma).
+    """
 
     gamma: float
     p_rate: float
@@ -152,9 +233,28 @@ class Nicholson:
         if self.tau <= 0.0:
             raise InvalidSpec(f"tau > 0 required, got tau = {self.tau}")
 
+    def equilibrium(self) -> EquilibriumReport:
+        x = self.x0_size * math.log(self.p_rate / self.gamma)
+        res = abs(-self.gamma * x + self.p_rate * x * math.exp(-x / self.x0_size))
+        return EquilibriumReport(x_e=x, residual=res)
+
+    def taylor_coefficients(self) -> TaylorCoefficients:
+        q = math.log(self.p_rate / self.gamma)
+        return TaylorCoefficients(
+            xi_x=-self.gamma,
+            xi_y=-self.gamma * (q - 1.0),
+            xi_yy=-(self.gamma / self.x0_size) * (2.0 - q),
+            xi_yyy=(self.gamma / self.x0_size ** 2) * (3.0 - q),
+            tau=self.tau,
+        )
+
+    def rhs(self, x: float, x_delayed: float, eta: float) -> float:
+        return eta * (-self.gamma * x
+                      + self.p_rate * x_delayed * math.exp(-x_delayed / self.x0_size))
+
 
 @dataclass(frozen=True)
-class Generic:
+class Generic(ModelSpec):
     """A model given directly by its Taylor coefficients (deviation form).
 
     The right-hand side is the cubic Taylor polynomial itself, with
@@ -166,42 +266,23 @@ class Generic:
 
     variant = "generic"
 
+    @property
+    def tau(self) -> float:
+        return self.coeffs.tau
 
-ModelSpec = Union[CubicBD, QuadraticBD, Nicholson, Generic]
+    def equilibrium(self) -> EquilibriumReport:
+        return EquilibriumReport(x_e=0.0, residual=0.0)
 
+    def taylor_coefficients(self) -> TaylorCoefficients:
+        return self.coeffs
 
-@dataclass(frozen=True)
-class EquilibriumReport:
-    x_e: float
-    residual: float
-
-
-def _cubic_equil(spec: CubicBD) -> float:
-    # Unique real root of x^3 + (k - mu) x + lam = 0; the polynomial is
-    # strictly increasing because k > mu, so plain bisection is safe.
-    c1 = spec.k - spec.mu
-
-    def poly(x: float) -> float:
-        return x * x * x + c1 * x + spec.lam
-
-    lo = -1.0 - abs(spec.lam) - spec.k
-    hi = 1.0 + abs(spec.lam) + spec.k
-    flo = poly(lo)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if hi - lo < 1e-12:
-            break
-        fm = poly(mid)
-        if flo * fm <= 0.0:
-            hi = mid
-        else:
-            lo, flo = mid, fm
-    x = 0.5 * (lo + hi)
-    for _ in range(3):
-        d = 3.0 * x * x + c1
-        if d != 0.0:
-            x -= poly(x) / d
-    return x
+    def rhs(self, x: float, x_delayed: float, eta: float) -> float:
+        c = self.coeffs
+        u, v = x, x_delayed
+        return eta * (c.xi_x * u + c.xi_y * v
+                      + c.xi_xx * u * u + c.xi_xy * u * v + c.xi_yy * v * v
+                      + c.xi_xxx * u ** 3 + c.xi_xxy * u * u * v
+                      + c.xi_xyy * u * v * v + c.xi_yyy * v ** 3)
 
 
 def quadratic_roots(spec: QuadraticBD) -> tuple[float, float]:
@@ -221,44 +302,21 @@ def quadratic_roots(spec: QuadraticBD) -> tuple[float, float]:
     return (-c1 + s) / 2.0, (-c1 - s) / 2.0
 
 
+def _checked(spec) -> ModelSpec:
+    if not isinstance(spec, ModelSpec):
+        raise InvalidSpec(f"unknown model spec {spec!r}")
+    return spec
+
+
 def equilibrium(spec: ModelSpec) -> EquilibriumReport:
     """Locate the equilibrium the analysis linearizes about.
-
-    CubicBD has a unique real equilibrium.  QuadraticBD has up to two; the
-    larger root is preferred, falling back to the smaller one if only that
-    one yields an analyzable linearization (a >= 0 and b > a).  Nicholson's
-    positive equilibrium is N* = x0 * ln(p/gamma).
 
     Returns
     -------
     EquilibriumReport
         Equilibrium location and the residual of the defining equation.
     """
-    if isinstance(spec, CubicBD):
-        x = _cubic_equil(spec)
-        res = abs(x ** 3 + (spec.k - spec.mu) * x + spec.lam)
-        return EquilibriumReport(x_e=x, residual=res)
-    if isinstance(spec, QuadraticBD):
-        x = _select_quadratic_root(spec)
-        res = abs(x * x + (spec.k - spec.mu) * x + spec.lam)
-        return EquilibriumReport(x_e=x, residual=res)
-    if isinstance(spec, Nicholson):
-        x = spec.x0_size * math.log(spec.p_rate / spec.gamma)
-        res = abs(-spec.gamma * x + spec.p_rate * x * math.exp(-x / spec.x0_size))
-        return EquilibriumReport(x_e=x, residual=res)
-    if isinstance(spec, Generic):
-        return EquilibriumReport(x_e=0.0, residual=0.0)
-    raise InvalidSpec(f"unknown model spec {spec!r}")
-
-
-def _select_quadratic_root(spec: QuadraticBD) -> float:
-    for x in quadratic_roots(spec):
-        a = 2.0 * x - spec.mu
-        if a >= 0.0 and spec.k > a:
-            return x
-    raise InvariantViolation(
-        "neither quadratic equilibrium satisfies 0 <= a < b; "
-        "the model is outside the analyzable cone")
+    return _checked(spec).equilibrium()
 
 
 def taylor_coefficients(spec: ModelSpec) -> TaylorCoefficients:
@@ -274,57 +332,14 @@ def taylor_coefficients(spec: ModelSpec) -> TaylorCoefficients:
         Factorial-normalized coefficients; construction re-validates the
         0 <= a < b cone and raises InvariantViolation outside it.
     """
-    if isinstance(spec, Generic):
-        return spec.coeffs
-    x_e = equilibrium(spec).x_e
-    if isinstance(spec, CubicBD):
-        return TaylorCoefficients(
-            xi_x=-(3.0 * x_e * x_e - spec.mu),
-            xi_y=-spec.k,
-            xi_xx=-3.0 * x_e,
-            xi_xxx=-1.0,
-            tau=spec.tau,
-        )
-    if isinstance(spec, QuadraticBD):
-        return TaylorCoefficients(
-            xi_x=-(2.0 * x_e - spec.mu),
-            xi_y=-spec.k,
-            xi_xx=-1.0,
-            tau=spec.tau,
-        )
-    if isinstance(spec, Nicholson):
-        q = math.log(spec.p_rate / spec.gamma)
-        return TaylorCoefficients(
-            xi_x=-spec.gamma,
-            xi_y=-spec.gamma * (q - 1.0),
-            xi_yy=-(spec.gamma / spec.x0_size) * (2.0 - q),
-            xi_yyy=(spec.gamma / spec.x0_size ** 2) * (3.0 - q),
-            tau=spec.tau,
-        )
-    raise InvalidSpec(f"unknown model spec {spec!r}")
+    return _checked(spec).taylor_coefficients()
 
 
 def delay_of(spec: ModelSpec) -> float:
-    """The delay tau of the model, wherever the variant stores it."""
-    if isinstance(spec, Generic):
-        return spec.coeffs.tau
-    return spec.tau
+    """The delay tau of the model."""
+    return _checked(spec).tau
 
 
 def rhs(spec: ModelSpec, x: float, x_delayed: float, eta: float = 1.0) -> float:
     """Evaluate eta * f(x, x_delayed) for the model's defining equation."""
-    if isinstance(spec, CubicBD):
-        return eta * (-(x ** 3 - spec.mu * x + spec.lam) - spec.k * x_delayed)
-    if isinstance(spec, QuadraticBD):
-        return eta * (-(x * x - spec.mu * x + spec.lam) - spec.k * x_delayed)
-    if isinstance(spec, Nicholson):
-        return eta * (-spec.gamma * x
-                      + spec.p_rate * x_delayed * math.exp(-x_delayed / spec.x0_size))
-    if isinstance(spec, Generic):
-        c = spec.coeffs
-        u, v = x, x_delayed
-        return eta * (c.xi_x * u + c.xi_y * v
-                      + c.xi_xx * u * u + c.xi_xy * u * v + c.xi_yy * v * v
-                      + c.xi_xxx * u ** 3 + c.xi_xxy * u * u * v
-                      + c.xi_xyy * u * v * v + c.xi_yyy * v ** 3)
-    raise InvalidSpec(f"unknown model spec {spec!r}")
+    return _checked(spec).rhs(x, x_delayed, eta)

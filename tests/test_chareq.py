@@ -5,6 +5,7 @@ characteristic roots, evaluated independently before this suite was written
 (see tests/_oracles.py).
 """
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -15,6 +16,7 @@ from delaybif import (
     DegenerateLinearization,
     HopfPoint,
     InvalidSpec,
+    NoConvergence,
     RootSearchRegion,
     TaylorCoefficients,
     char_value,
@@ -202,6 +204,18 @@ def test_roots_sorted_and_upper_half(wright_coeffs):
     assert all(r.im >= 0.0 for r in roots)
     assert all(roots[i].re >= roots[i + 1].re for i in range(len(roots) - 1))
     assert roots[0].re == pytest.approx(ROOT_WRIGHT[0], rel=1e-9)
+
+
+def test_overflowing_newton_seed_fails_quietly(ex1_coeffs):
+    # at tau = 50 some Newton steps overflow the delayed exponential; such a
+    # seed counts as failed, so the search returns roots or NoConvergence
+    coeffs = dataclasses.replace(ex1_coeffs, tau=50.0)
+    try:
+        roots = rightmost_roots(coeffs, 1.0)
+    except NoConvergence:
+        return
+    for r in roots:
+        assert abs(char_value(coeffs, 1.0, complex(r.re, r.im))) < 1e-9
 
 
 def test_custom_search_region(wright_coeffs):

@@ -1,10 +1,16 @@
 """End-to-end CLI tests: config parsing, outputs, exit codes, determinism."""
+import dataclasses
 import json
 import textwrap
 
 import pytest
 
-from delaybif import __version__
+from delaybif import (
+    CubicBD,
+    __version__,
+    mu2_cubic_specialization,
+    taylor_coefficients,
+)
 from delaybif.cli import main
 
 from _oracles import EX1_ETA_C
@@ -122,9 +128,13 @@ def test_sweep_epsilon_shape_table(tmp_path, capsys):
     assert code == 0
     lines = (out / "gtilde.csv").read_text().splitlines()
     assert lines[0] == "epsilon,g_tilde,h_tilde,mu2"
+    coeffs = taylor_coefficients(CubicBD(k=9.0, mu=1.0, lam=-7.0, tau=0.187))
     for line in lines[1:]:
         eps, gt, ht, mu2 = map(float, line.split(","))
         assert gt < 0.0 and ht < 0.0
+        expect = mu2_cubic_specialization(
+            dataclasses.replace(coeffs, xi_x=-eps * coeffs.b))
+        assert mu2 == pytest.approx(expect, rel=1e-12)
 
 
 def test_sweep_epsilon_nicholson(tmp_path, capsys):
@@ -219,6 +229,19 @@ def test_simulate_divergence_exit_code(tmp_path, capsys):
     assert "metrics.json" in manifest["outputs"]
 
 
+@pytest.mark.parametrize("ini", [
+    CUBIC_INI.replace("x_init = 0.9", "x_init = 5e5"),
+    NICHOLSON_INI + "[sim]\neta = 1.0\nx_init = -800\nt_end = 50.0\n",
+], ids=["cubic", "nicholson"])
+def test_simulate_overflow_exit_code(tmp_path, capsys, ini):
+    code, _, stderr, out = _run(tmp_path, capsys, "simulate", ini=ini)
+    assert code == 4
+    assert stderr.startswith("error:")
+    assert (out / "trajectory.csv").read_text().startswith("t,x\n")
+    m = json.loads((out / "metrics.json").read_text())
+    assert m["verdict"] == "Diverged"
+
+
 # --- roots -----------------------------------------------------------------
 
 def test_roots_table(tmp_path, capsys):
@@ -244,6 +267,13 @@ def test_roots_region_override(tmp_path, capsys):
     lines = (out / "roots.csv").read_text().splitlines()
     # the widened box picks up the next branch pair beyond the principal one
     assert len(lines) >= 3
+
+
+def test_roots_overflowing_search_exits_cleanly(tmp_path, capsys):
+    ini = CUBIC_INI.replace("tau = 0.187", "tau = 50.0")
+    code, _, stderr, _ = _run(tmp_path, capsys, "roots", ini=ini)
+    assert code in (0, 3)
+    assert code == 0 or stderr.startswith("error:")
 
 
 # --- failure modes ---------------------------------------------------------

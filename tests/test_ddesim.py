@@ -1,18 +1,25 @@
 """Method-of-steps integrator and trajectory classification.
 
 The integrator is pinned by an exact piecewise-polynomial solution of
-x'(t) = -x(t - 1) with constant unit history, for which RK4 plus cubic
-Hermite history lookup commits no truncation error at all.
+x'(t) = -x(t - 1) with constant unit history, for which RK4 plus the
+node-and-midpoint Hermite stencil commits no truncation error at all.
 """
 import math
 
 import numpy as np
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from delaybif import (
+    CubicBD,
+    DelayBifError,
     Divergence,
     Generic,
     InvalidSpec,
+    Nicholson,
+    QuadraticBD,
     SimConfig,
     StepTooLarge,
     TaylorCoefficients,
@@ -66,6 +73,16 @@ def test_default_step_resolves_delay():
     traj = integrate(_wright_model(),
                      SimConfig(eta=1.0, x_init=1.0, t_end=50.0))
     assert traj.dt == pytest.approx(0.01, rel=1e-12)
+
+
+def test_integrate_requires_step_dividing_delay():
+    cfg = SimConfig(eta=1.0, x_init=1.0, t_end=50.0, dt=0.03)
+    with pytest.raises(InvalidSpec, match="does not divide tau"):
+        integrate(_wright_model(), cfg)
+    for dt in (1.0 / 50.0, 0.01, None):
+        traj = integrate(_wright_model(),
+                         SimConfig(eta=1.0, x_init=1.0, t_end=50.0, dt=dt))
+        assert len(traj.values) == int(round(50.0 / traj.dt)) + 1
 
 
 # --- integrator accuracy ---------------------------------------------------
@@ -149,6 +166,44 @@ def test_divergence_carries_partial_trajectory():
     assert m.verdict is Verdict.DIVERGED
     assert m.amplitude >= 0.0
     assert math.isnan(m.period)
+
+
+@pytest.mark.parametrize("spec, x_init", [
+    (CubicBD(k=9.0, mu=1.0, lam=-7.0, tau=0.187), 5e5),
+    (Nicholson(gamma=1.0, p_rate=50.0, x0_size=1.0, tau=1.0), -800.0),
+])
+def test_overflowing_stage_is_divergence(spec, x_init):
+    # x**3 and exp(-x_d/x0) overflow inside the RK4 stages before the
+    # guard band test on the new state could see them
+    cfg = SimConfig(eta=1.0, x_init=x_init, t_end=50.0 * spec.tau)
+    with pytest.raises(Divergence) as exc:
+        integrate(spec, cfg)
+    traj = exc.value.trajectory
+    assert traj.values[0] == x_init
+    assert np.all(np.isfinite(traj.values))
+    assert metrics(traj).verdict is Verdict.DIVERGED
+
+
+_EVERY_VARIANT = [
+    CubicBD(k=9.0, mu=1.0, lam=-7.0, tau=0.187),
+    QuadraticBD(k=6.0, mu=1.0, lam=-7.0, tau=0.5),
+    Nicholson(gamma=1.0, p_rate=50.0, x0_size=1.0, tau=1.0),
+    Generic(TaylorCoefficients(xi_x=-0.5, xi_y=-2.0, xi_xx=0.3, xi_yy=0.1,
+                               xi_xxx=-0.4, xi_yyy=0.07, tau=1.0)),
+]
+
+
+@given(spec=st.sampled_from(_EVERY_VARIANT),
+       x_init=st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False))
+@settings(max_examples=60, deadline=None)
+def test_integrate_returns_or_raises_library_error(spec, x_init):
+    cfg = SimConfig(eta=1.0, x_init=x_init, t_end=50.0 * spec.tau,
+                    dt=spec.tau / 20.0)
+    try:
+        traj = integrate(spec, cfg)
+    except DelayBifError:
+        return
+    assert np.all(np.isfinite(traj.values))
 
 
 def test_amplitude_never_negative(ex1_spec):

@@ -260,3 +260,23 @@ def test_delay_of_every_variant(ex1_spec, nich_spec, wright_coeffs):
     assert delay_of(nich_spec) == nich_spec.tau
     assert delay_of(Generic(wright_coeffs)) == wright_coeffs.tau
     assert delay_of(QuadraticBD(k=6.0, mu=1.0, lam=-7.0, tau=0.5)) == 0.5
+
+
+@pytest.mark.parametrize("spec", [
+    CubicBD(k=9.0, mu=1.0, lam=-7.0, tau=0.187),
+    QuadraticBD(k=6.0, mu=1.0, lam=-7.0, tau=0.5),
+    Nicholson(gamma=1.0, p_rate=50.0, x0_size=1.0, tau=1.0),
+    Generic(TaylorCoefficients(xi_x=-0.5, xi_y=-2.0, xi_xx=0.3, tau=2.0)),
+], ids=lambda spec: spec.variant)
+def test_public_functions_delegate_to_the_spec(spec):
+    assert equilibrium(spec) == spec.equilibrium()
+    assert taylor_coefficients(spec) == spec.taylor_coefficients()
+    assert delay_of(spec) == spec.tau
+    assert rhs(spec, 0.3, -0.2, 1.5) == spec.rhs(0.3, -0.2, 1.5)
+    # a coefficient set is not a model, although it carries a delay
+    for bad in (spec.taylor_coefficients(), "cubic"):
+        for fn in (equilibrium, taylor_coefficients, delay_of):
+            with pytest.raises(InvalidSpec):
+                fn(bad)
+        with pytest.raises(InvalidSpec):
+            rhs(bad, 0.3, -0.2)
