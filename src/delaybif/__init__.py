@@ -6,6 +6,10 @@ Hopf point (chareq), closed-form decay rates and oscillation regimes
 (convergence), the first Lyapunov coefficient by two independent routes
 (hopf), and a method-of-steps simulation oracle (ddesim).  The cli module
 exposes all of it behind the ``delaybif`` command.
+
+numpy is loaded only by the simulation oracle and by the root search, so
+the oracle's names are loaded on first use: ``import delaybif`` and the
+closed forms stay numpy-free.
 """
 from .chareq import (
     ComplexRoot,
@@ -26,15 +30,6 @@ from .convergence import (
     rate_of_convergence,
     sweep_tau,
     tau_star,
-)
-from .ddesim import (
-    LimitCycleMetrics,
-    SimConfig,
-    Trajectory,
-    Verdict,
-    integrate,
-    metrics,
-    sweep_bifurcation,
 )
 from .errors import (
     DegenerateEpsilon,
@@ -78,6 +73,19 @@ from .models import (
 )
 
 __version__ = "0.1.0"
+
+# ddesim imports numpy at module level: its names load on first access
+_DDESIM_NAMES = frozenset((
+    "SimConfig", "Trajectory", "Verdict", "LimitCycleMetrics",
+    "integrate", "metrics", "sweep_bifurcation"))
+
+
+def __getattr__(name):
+    if name in _DDESIM_NAMES:
+        from . import ddesim
+        return getattr(ddesim, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "__version__",

@@ -10,8 +10,6 @@ import cmath
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import DegenerateLinearization, InvalidSpec, NoConvergence
 from .models import TaylorCoefficients
 
@@ -60,19 +58,38 @@ class ComplexRoot:
     residual: float
 
 
+def _require_gain(eta: float) -> None:
+    if not (eta > 0.0 and math.isfinite(eta)):
+        raise InvalidSpec(f"eta must be finite and positive, got {eta!r}")
+
+
 @dataclass(frozen=True)
 class RootSearchRegion:
-    """Rectangle [re_min, re_max] x [-im_max, im_max] scanned for roots."""
+    """Rectangle [re_min, re_max] x [-im_max, im_max] scanned for roots.
+
+    Construction requires finite bounds with re_min < re_max and
+    im_max > 0, and sides that are finite floats too.
+    """
 
     re_min: float
     re_max: float
     im_max: float
+
+    def __post_init__(self):
+        if not (math.isfinite(self.re_max - self.re_min)
+                and math.isfinite(2.0 * self.im_max)):
+            raise InvalidSpec(f"root search region needs finite bounds and sides, got {self}")
+        if not self.re_min < self.re_max:
+            raise InvalidSpec(f"root search region needs re_min < re_max, got {self}")
+        if not self.im_max > 0.0:
+            raise InvalidSpec(f"root search region needs im_max > 0, got {self}")
 
     @classmethod
     def default_for(cls, coeffs: TaylorCoefficients, eta: float) -> "RootSearchRegion":
         # The rightmost root always satisfies Re >= -(eta*a + 1/tau) and
         # Re <= eta*(b - a); its imaginary part sits on the principal branch,
         # |Im| < pi/tau.  Margins keep roots off the contour.
+        _require_gain(eta)
         a, b, tau = coeffs.a, coeffs.b, coeffs.tau
         re_min = -(eta * a + 1.0 / tau) - 0.5
         re_max = eta * (b - a) + 0.5
@@ -125,8 +142,7 @@ def stability_verdict(coeffs: TaylorCoefficients, eta: float) -> str:
     ``"unstable"`` beyond it.
     """
     a, b = _require_cone(coeffs)
-    if eta <= 0.0:
-        raise InvalidSpec("eta must be positive")
+    _require_gain(eta)
     if coeffs.tau <= 0.0:
         raise InvalidSpec("stability verdict needs tau > 0")
     lhs = eta * coeffs.tau * math.sqrt(b * b - a * a)
@@ -166,9 +182,13 @@ def _phase_winding(A: float, B: float, tau: float,
     Samples the boundary counterclockwise and accumulates phase increments,
     doubling the sampling density until every step is below pi/2.
     """
+    # the module's only array code: importing numpy here keeps the closed
+    # forms, and so `delaybif analyze`, free of its start-up cost
+    import numpy as np
+
     # enough initial samples that the delayed exponential's rotation along
     # the vertical edges (tau * height / 2pi turns) is resolved
-    base = 16 + 8 * int(tau * (y1 - y0) / math.pi + (x1 - x0))
+    base = 16 + 8 * int(min(tau * (y1 - y0) / math.pi + (x1 - x0), 1 << 12))
     n = min(max(base, 32), 1 << 12)
     while True:
         bottom = np.linspace(x0, x1, n, endpoint=False) + 1j * y0
@@ -295,12 +315,14 @@ def rightmost_roots(coeffs: TaylorCoefficients, eta: float,
 
     Raises
     ------
+    InvalidSpec
+        If eta is not finite and positive, or the default region's bounds
+        overflow.
     NoConvergence
         If a subcell flagged by the winding count defeats Newton from every
         seed, or the boundary phase cannot be resolved.
     """
-    if eta <= 0.0:
-        raise InvalidSpec("eta must be positive")
+    _require_gain(eta)
     a, b, tau = coeffs.a, coeffs.b, coeffs.tau
     if tau == 0.0:
         # no delay: G is linear, single root

@@ -18,16 +18,14 @@ import csv
 import dataclasses
 import enum
 import json
+import math
 import os
 import sys
 from typing import Optional
 
-import numpy as np
-
 from . import __version__
 from .chareq import RootSearchRegion, critical_eta, rightmost_roots, stability_verdict
 from .convergence import rate_of_convergence, sweep_tau
-from .ddesim import SimConfig, integrate, metrics, sweep_bifurcation
 from .errors import DelayBifError, Divergence
 from .hopf import (
     classify,
@@ -136,7 +134,9 @@ def _build_model(cp):
     return Generic(spec) if cls is Generic else spec
 
 
-def _sim_config(cp) -> SimConfig:
+def _sim_config(cp):
+    # ddesim, and with it numpy, is imported only by the commands that simulate
+    from .ddesim import SimConfig
     return SimConfig(
         eta=_get_float(cp, "sim", "eta", required=True),
         x_init=_get_float(cp, "sim", "x_init", required=True),
@@ -146,7 +146,13 @@ def _sim_config(cp) -> SimConfig:
     )
 
 
-def _grid(cp) -> tuple[str, np.ndarray]:
+def _grid(cp) -> tuple[str, list[float]]:
+    """The sweep axis and its grid of count evenly spaced points.
+
+    The points are numpy.linspace(start, stop, count), bit for bit, for
+    every grid whose step does not underflow: i*step + start, with stop
+    itself as the last point.
+    """
     axis = _get(cp, "sweep", "axis", required=True)
     if axis not in ("tau", "eta", "epsilon"):
         raise _ConfigError(f"unknown sweep axis {axis!r} "
@@ -156,9 +162,15 @@ def _grid(cp) -> tuple[str, np.ndarray]:
     count = _get_int(cp, "sweep", "count", required=True)
     if count < 1:
         raise _ConfigError(f"empty sweep grid: count = {count}")
+    if not math.isfinite(stop - start):
+        raise _ConfigError("sweep grid bounds and their span must be finite")
     if count > 1 and not stop > start:
         raise _ConfigError("sweep grid must be ascending: stop > start")
-    return axis, np.linspace(start, stop, count)
+    step = (stop - start) / max(count - 1, 1)
+    grid = [i * step + start for i in range(count)]
+    if count > 1:
+        grid[-1] = stop
+    return axis, grid
 
 
 # ---------------------------------------------------------------------------
@@ -172,10 +184,6 @@ def _jsonable(obj):
         return obj.value
     if isinstance(obj, complex):
         return {"re": obj.real, "im": obj.imag}
-    if isinstance(obj, np.ndarray):
-        return [float(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
     if isinstance(obj, dict):
         return {k: _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -194,14 +202,13 @@ def _write_json(outdir: str, name: str, data) -> str:
     return name
 
 
-def _write_csv(outdir: str, name: str, header: list, rows: list) -> str:
+def _write_csv(outdir: str, name: str, header: list, rows) -> str:
+    """Rows of plain Python values; floats are written by their repr."""
     path = os.path.join(outdir, name)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([v.value if isinstance(v, enum.Enum) else v
-                             for v in row])
+        writer.writerows(rows)
     return name
 
 
@@ -269,16 +276,17 @@ def _cmd_sweep(cp, outdir: str, fmt: str) -> int:
         rows = []
         for tau, rep in sweep_tau(coeffs, grid, eta):
             rows.append([tau, rep.sigma, rep.sigma1, rep.sigma2, rep.sigma3,
-                         rep.regime])
+                         rep.regime.value])
         outputs.append(_write_table(
             outdir, "roc_sweep",
             ["tau", "sigma", "sigma1", "sigma2", "sigma3", "regime"],
             rows, fmt))
     elif axis == "eta":
+        from .ddesim import sweep_bifurcation
         config = _sim_config(cp)
         warm = _get_bool(cp, "sweep", "continue_history", False)
         points = sweep_bifurcation(model, grid, config, continue_history=warm)
-        rows = [[eta, amp, period, verdict]
+        rows = [[eta, amp, period, verdict.value]
                 for eta, amp, period, verdict in points]
         outputs.append(_write_table(
             outdir, "bifurcation",
@@ -287,7 +295,6 @@ def _cmd_sweep(cp, outdir: str, fmt: str) -> int:
         coeffs = taylor_coefficients(model)
         rows = []
         for eps in grid:
-            eps = float(eps)
             gt, ht = g_tilde(eps), h_tilde(eps)
             if isinstance(model, Nicholson):
                 mu2 = nicholson_mu2_shape(eps, model.x0_size)
@@ -304,6 +311,7 @@ def _cmd_sweep(cp, outdir: str, fmt: str) -> int:
 
 
 def _cmd_simulate(cp, outdir: str, fmt: str) -> int:
+    from .ddesim import integrate, metrics
     model = _build_model(cp)
     config = _sim_config(cp)
     failure = None
@@ -314,7 +322,7 @@ def _cmd_simulate(cp, outdir: str, fmt: str) -> int:
     m = metrics(traj)
     outputs = [
         _write_csv(outdir, "trajectory.csv", ["t", "x"],
-                   list(zip(traj.times, traj.values))),
+                   zip(traj.times.tolist(), traj.values.tolist())),
         _write_json(outdir, "metrics.json", m),
     ]
     _write_manifest(outdir, "simulate", cp, outputs)

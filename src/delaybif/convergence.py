@@ -57,9 +57,23 @@ class ConvergenceReport:
 
 def _scaled(coeffs: TaylorCoefficients, eta: float) -> tuple[float, float, float]:
     """Fold the gain into the linear coefficients: (eta*a, eta*b, tau)."""
-    if eta <= 0.0:
-        raise InvalidSpec("eta must be positive")
-    return eta * coeffs.a, eta * coeffs.b, coeffs.tau
+    if not (eta > 0.0 and math.isfinite(eta)):
+        raise InvalidSpec(f"eta must be finite and positive, got {eta!r}")
+    a, b = eta * coeffs.a, eta * coeffs.b
+    if not 0.0 < b < math.inf:   # 0 <= a < b, so a is finite whenever b is
+        raise InvalidSpec(f"eta = {eta!r} scales b = {coeffs.b!r} out of the float range")
+    return a, b, coeffs.tau
+
+
+def _delay_product(a: float, b: float, tau: float) -> float:
+    """b*tau*e^(a*tau), the quantity the regimes compare with 1/e.
+
+    inf where it overflows, since its exact value then exceeds every float.
+    """
+    try:
+        return b * tau * math.exp(a * tau)
+    except OverflowError:
+        return math.inf
 
 
 def _tau_star_ab(a: float, b: float) -> float:
@@ -96,8 +110,17 @@ def _g(u: float) -> float:
     """Oscillatory-branch characteristic map (u/sin u) e^(-u/tan u).
 
     Strictly increasing on (0, pi), from 1/e to +infinity; g(pi/2) = pi/2.
+    inf where it overflows, near pi.
     """
-    return (u / math.sin(u)) * math.exp(-u / math.tan(u))
+    try:
+        return (u / math.sin(u)) * math.exp(-u / math.tan(u))
+    except OverflowError:
+        return math.inf
+
+
+def _log_g(u: float) -> float:
+    """log g(u), for targets g(u2) beyond the float range."""
+    return math.log(u / math.sin(u)) - u / math.tan(u)
 
 
 def _bisect_increasing(fn, lo: float, hi: float, target: float) -> float:
@@ -121,7 +144,8 @@ def rate_of_convergence(coeffs: TaylorCoefficients, eta: float = 1.0) -> Converg
         sigma2 : (sigma-a) tau e^((a-sigma) tau) = b tau e^(a tau),
                  bisected on (a, a + 1/tau); finite only for tau <= tau*
         sigma3 = a + u2 / (tau tan u2) with g(u2) = b tau e^(a tau),
-                 u2 in (0, pi); finite only for tau > tau*
+                 u2 in (0, pi); finite only for tau > tau*; solved in
+                 logarithms where b tau e^(a tau) overflows
 
     and sigma = min over the finite ones.  For eta != 1 the gain is folded
     into the coefficients (a <- eta*a, b <- eta*b) first.  An unstable
@@ -131,13 +155,14 @@ def rate_of_convergence(coeffs: TaylorCoefficients, eta: float = 1.0) -> Converg
     Raises
     ------
     InvalidSpec
-        If tau <= 0 or eta <= 0.
+        If tau <= 0, eta is not finite and positive, or eta*b overflows or
+        underflows to 0.
     """
     a, b, tau = _scaled(coeffs, eta)
     if tau <= 0.0:
         raise InvalidSpec("rate of convergence needs tau > 0")
     ts = _tau_star_ab(a, b)
-    target = b * tau * math.exp(a * tau)
+    target = _delay_product(a, b, tau)
     sigma1 = a + 1.0 / tau
     u2 = None
     if tau <= ts:
@@ -149,7 +174,11 @@ def rate_of_convergence(coeffs: TaylorCoefficients, eta: float = 1.0) -> Converg
         sigma2 = _bisect_increasing(real_branch, a, sigma1, target)
     else:
         sigma2 = math.inf
-        u2 = _bisect_increasing(_g, 1e-9, math.pi - 1e-9, target)
+        if math.isfinite(target):
+            u2 = _bisect_increasing(_g, 1e-9, math.pi - 1e-9, target)
+        else:
+            log_target = math.log(b) + math.log(tau) + a * tau
+            u2 = _bisect_increasing(_log_g, 1e-9, math.pi - 1e-9, log_target)
         sigma3 = a + u2 / (tau * math.tan(u2))
     sigma = min(sigma1, sigma2, sigma3)
     regime = classify_regime(coeffs, eta)
@@ -166,7 +195,7 @@ def non_oscillatory(coeffs: TaylorCoefficients, eta: float = 1.0) -> bool:
     a, b, tau = _scaled(coeffs, eta)
     if tau <= 0.0:
         raise InvalidSpec("non-oscillatory test needs tau > 0")
-    return b * tau * math.exp(a * tau) <= _INV_E
+    return _delay_product(a, b, tau) <= _INV_E
 
 
 def classify_regime(coeffs: TaylorCoefficients, eta: float = 1.0) -> Regime:
@@ -179,7 +208,7 @@ def classify_regime(coeffs: TaylorCoefficients, eta: float = 1.0) -> Regime:
     a, b, tau = _scaled(coeffs, eta)
     if tau <= 0.0:
         raise InvalidSpec("regime classification needs tau > 0")
-    if b * tau * math.exp(a * tau) <= _INV_E:
+    if _delay_product(a, b, tau) <= _INV_E:
         return Regime.NON_OSCILLATORY_STABLE
     # the scaled coefficients keep epsilon = a/b, so the critical delay of
     # the scaled system is the eta-scaled stability limit

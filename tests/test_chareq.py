@@ -111,6 +111,16 @@ def test_stability_verdict_rejects_bad_eta(ex1_coeffs):
         stability_verdict(ex1_coeffs, -1.0)
 
 
+@pytest.mark.parametrize("eta", [math.nan, math.inf, -math.inf])
+def test_non_finite_gain_is_invalid(ex1_coeffs, eta):
+    with pytest.raises(InvalidSpec, match="finite and positive"):
+        stability_verdict(ex1_coeffs, eta)
+    with pytest.raises(InvalidSpec, match="finite and positive"):
+        rightmost_roots(ex1_coeffs, eta)
+    with pytest.raises(InvalidSpec, match="finite and positive"):
+        RootSearchRegion.default_for(ex1_coeffs, eta)
+
+
 def test_sufficient_condition_first_set(ex1_coeffs):
     # eta*b*tau = 1.514 < pi/2 at eta = 0.9 but 1.683 > pi/2 at eta = 1.0
     assert sufficient_stable(ex1_coeffs, 0.9)
@@ -247,3 +257,38 @@ def test_root_sign_matches_verdict_on_samples():
         r = _rightmost(c, eta)
         assert (r.re < 0.0) == is_locally_stable(c, eta)
         checked += 1
+
+
+@pytest.mark.parametrize("bounds", [
+    dict(re_min=-1.0, re_max=0.5, im_max=-1.0),
+    dict(re_min=-1.0, re_max=0.5, im_max=0.0),
+    dict(re_min=5.0, re_max=-5.0, im_max=2.0),
+    dict(re_min=0.5, re_max=0.5, im_max=2.0),
+    dict(re_min=-1.0, re_max=0.5, im_max=math.inf),
+    dict(re_min=math.nan, re_max=0.5, im_max=2.0),
+    dict(re_min=-1e308, re_max=1e308, im_max=2.0),
+    dict(re_min=-1.0, re_max=0.5, im_max=1e308),
+])
+def test_search_region_validates_itself(wright_coeffs, bounds):
+    with pytest.raises(InvalidSpec, match="root search region"):
+        RootSearchRegion(**bounds)
+    # the override path of the roots command goes through dataclasses.replace
+    region = RootSearchRegion.default_for(wright_coeffs, 1.0)
+    with pytest.raises(InvalidSpec, match="root search region"):
+        dataclasses.replace(region, **bounds)
+
+
+def test_overflowing_default_region_is_invalid(ex1_coeffs):
+    # eta*(b - a) and 2*eta*b overflow: the region cannot be built
+    with pytest.raises(InvalidSpec, match="root search region"):
+        rightmost_roots(ex1_coeffs, 1e308)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_overflowing_sample_count_fails_cleanly():
+    # tau times the region's height overflows where the first boundary
+    # sample count is set; the search gives up with its documented error
+    c = TaylorCoefficients(xi_x=0.0, xi_y=-1.0, tau=1e300)
+    region = RootSearchRegion(re_min=-1.0, re_max=1.0, im_max=1e10)
+    with pytest.raises(NoConvergence):
+        rightmost_roots(c, 1.0, search=region)

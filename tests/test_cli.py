@@ -1,17 +1,24 @@
 """End-to-end CLI tests: config parsing, outputs, exit codes, determinism."""
+import configparser
 import dataclasses
 import json
+import os
+import random
+import subprocess
+import sys
 import textwrap
 
+import numpy as np
 import pytest
 
+import delaybif
 from delaybif import (
     CubicBD,
     __version__,
     mu2_cubic_specialization,
     taylor_coefficients,
 )
-from delaybif.cli import main
+from delaybif.cli import _grid, main
 
 from _oracles import EX1_ETA_C
 
@@ -336,3 +343,119 @@ def test_output_dir_from_config(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
     assert code == 0
     assert (tmp_path / "results" / "analyze.json").exists()
+
+
+# --- start-up: numpy only where arrays are built ---------------------------
+
+# Runs in a fresh interpreter: which modules a command loads is only visible
+# before anything else has imported them.  Prints, after the import and
+# after each command, whether numpy is loaded, plus the exit codes.
+_NUMPY_PROBE = textwrap.dedent("""\
+    import json, sys
+    loaded = {"start": "numpy" in sys.modules}
+    from delaybif.cli import main
+    loaded["import"] = "numpy" in sys.modules
+    codes = {}
+    for name, command in json.loads(sys.argv[2]):
+        codes[name] = main([command, "--config", f"{sys.argv[1]}/{name}.ini",
+                            "--out", f"{sys.argv[1]}/{name}"])
+        loaded[name] = "numpy" in sys.modules
+    print(json.dumps({"loaded": loaded, "codes": codes}))
+    """)
+
+
+def _sweep_ini(axis, start, stop, count):
+    return (f"[sweep]\naxis = {axis}\nstart = {start}\nstop = {stop}\n"
+            f"count = {count}\n")
+
+
+def test_analysis_commands_do_not_import_numpy(tmp_path):
+    short = CUBIC_INI.replace("t_end = 60.0", "t_end = 12.0")
+    runs = [("analyze", "analyze", CUBIC_INI),
+            ("tau", "sweep", CUBIC_INI + _sweep_ini("tau", 0.005, 0.18, 8)),
+            ("epsilon", "sweep", CUBIC_INI + _sweep_ini("epsilon", 0.0, 0.9, 4)),
+            ("simulate", "simulate", short),
+            ("eta", "sweep", short + _sweep_ini("eta", 1.02, 1.04, 2))]
+    for name, _, text in runs:
+        _write(tmp_path, text, name + ".ini")
+    src = os.path.dirname(os.path.dirname(delaybif.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", _NUMPY_PROBE, str(tmp_path),
+         json.dumps([(name, command) for name, command, _ in runs])],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    if result["loaded"]["start"]:
+        pytest.skip("this interpreter imports numpy at start-up")
+    assert result["codes"] == {name: 0 for name, _, _ in runs}
+    for step in ("import", "analyze", "tau", "epsilon"):
+        assert not result["loaded"][step], step
+    # simulating loads ddesim, and numpy with it, when the command runs
+    assert result["loaded"]["simulate"]
+    assert (tmp_path / "eta" / "bifurcation.csv").exists()
+
+
+def test_package_resolves_simulation_names():
+    from delaybif import ddesim
+    from delaybif import SimConfig, integrate
+    assert delaybif.Trajectory is ddesim.Trajectory
+    assert SimConfig is ddesim.SimConfig and integrate is ddesim.integrate
+    namespace = {}
+    exec("from delaybif import *", namespace)
+    assert set(delaybif.__all__) <= set(namespace)
+    with pytest.raises(AttributeError):
+        delaybif.no_such_name
+
+
+def test_grid_matches_linspace():
+    rng = random.Random(20)
+    cases = [(0.005, 0.18, 36), (0.0, 0.9, 1), (0.0, 0.9, 2), (-1.5, 2.5, 2),
+             (1.02, 1.04, 1), (-0.0, 1.0, 1), (3.0, -3.0, 1)]
+    for _ in range(400):
+        start = rng.uniform(-10.0, 10.0) * 10.0 ** rng.randint(-6, 6)
+        stop = start + rng.uniform(1e-3, 10.0) * 10.0 ** rng.randint(-6, 6)
+        cases.append((start, stop, rng.choice([1, 2, 3, rng.randint(4, 300)])))
+    for start, stop, count in cases:
+        cp = configparser.ConfigParser()
+        cp.read_dict({"sweep": {"axis": "tau", "start": repr(start),
+                                "stop": repr(stop), "count": str(count)}})
+        _, grid = _grid(cp)
+        expect = np.linspace(start, stop, count).tolist()
+        assert [x.hex() for x in grid] == [x.hex() for x in expect], (start, stop, count)
+
+
+@pytest.mark.parametrize("start,stop,count", [
+    ("0.0", "inf", 3), ("nan", "1.0", 1), ("-1e308", "1e308", 4),
+])
+def test_non_finite_sweep_grid_is_a_config_error(tmp_path, capsys, start, stop, count):
+    ini = CUBIC_INI + _sweep_ini("epsilon", start, stop, count)
+    code, _, err, out = _run(tmp_path, capsys, "sweep", ini=ini)
+    assert code == 2
+    assert "must be finite" in err
+    assert not (out / "gtilde.csv").exists()
+
+
+# --- invalid gains and search regions --------------------------------------
+
+@pytest.mark.parametrize("eta", ["nan", "inf", "-inf", "1e308"])
+@pytest.mark.parametrize("command", ["analyze", "sweep", "roots"])
+def test_non_finite_or_overflowing_gain_exits_3(tmp_path, capsys, command, eta):
+    ini = (CUBIC_INI.replace("[analysis]\neta = 1.0", f"[analysis]\neta = {eta}")
+           + _sweep_ini("tau", 0.005, 0.18, 4))
+    code, stdout, err, out = _run(tmp_path, capsys, command, ini=ini)
+    assert code == 3
+    assert err.startswith("error:")
+    assert stdout == ""
+    assert not (out / "analyze.json").exists()
+
+
+@pytest.mark.parametrize("override", [
+    "im_max = -1", "re_min = 5\nre_max = -5", "im_max = inf", "re_min = nan",
+])
+def test_invalid_root_region_override_exits_3(tmp_path, capsys, override):
+    ini = CUBIC_INI + "[roots]\n" + override + "\n"
+    code, _, err, out = _run(tmp_path, capsys, "roots", ini=ini)
+    assert code == 3
+    assert err.startswith("error: root search region")
+    assert not (out / "roots.csv").exists()

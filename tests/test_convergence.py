@@ -11,8 +11,10 @@ import numpy as np
 import pytest
 
 from delaybif import (
+    InvalidSpec,
     Regime,
     TaylorCoefficients,
+    char_value,
     critical_eta,
     classify_regime,
     non_oscillatory,
@@ -193,3 +195,48 @@ def test_sweep_tau_profile_shape(wright_coeffs):
     tail = sig[11:]
     assert all(x < y for x, y in zip(head, head[1:]))
     assert all(x > y for x, y in zip(tail, tail[1:]))
+
+
+# --- the gain's domain and overflowing exponentials ------------------------
+
+_GAIN_FUNCTIONS = [rate_of_convergence, tau_star, non_oscillatory, classify_regime]
+
+
+@pytest.mark.parametrize("fn", _GAIN_FUNCTIONS)
+@pytest.mark.parametrize("eta", [math.nan, math.inf, -math.inf, 0.0])
+def test_non_finite_gain_is_invalid(wright_coeffs, fn, eta):
+    with pytest.raises(InvalidSpec, match="finite and positive"):
+        fn(wright_coeffs, eta)
+
+
+@pytest.mark.parametrize("fn", _GAIN_FUNCTIONS)
+@pytest.mark.parametrize("b,eta", [(2.0, 1e308), (1e-10, 1e-315)],
+                         ids=["overflow", "underflow"])
+def test_gain_scaling_b_out_of_range_is_invalid(fn, b, eta):
+    c = TaylorCoefficients(xi_x=0.0, xi_y=-b, tau=1.0)
+    with pytest.raises(InvalidSpec, match="float range"):
+        fn(c, eta)
+
+
+def test_overflowing_exponential_unstable():
+    # eta*a*tau = 1000: e^(eta*a*tau) overflows a float
+    c = TaylorCoefficients(xi_x=-1.0, xi_y=-2.0, tau=1.0)
+    assert not non_oscillatory(c, 1000.0)
+    assert classify_regime(c, 1000.0) is Regime.UNSTABLE
+    rep = rate_of_convergence(c, 1000.0)
+    assert rep.regime is Regime.UNSTABLE and rep.sigma == 0.0
+    for value in (rep.sigma1, rep.sigma3, rep.tau_star, rep.u2):
+        assert math.isfinite(value)
+    assert rep.sigma3 < 0.0 and 0.0 < rep.u2 < math.pi
+
+
+@pytest.mark.parametrize("a", [700.0, 705.0, 800.0])
+def test_decay_rate_across_the_overflow_threshold(a):
+    # b*tau*e^(a*tau) is a float at a = 700 and overflows at 705 and 800;
+    # either way -sigma + i*u2/tau must be a characteristic root
+    c = TaylorCoefficients(xi_x=-a, xi_y=-a * (1.0 + 1e-7), tau=1.0)
+    rep = rate_of_convergence(c)
+    assert rep.regime is Regime.OSCILLATORY_STABLE
+    assert rep.sigma > 0.0
+    lam = complex(-rep.sigma, rep.u2 / c.tau)
+    assert abs(char_value(c, 1.0, lam)) < 1e-6 * a
