@@ -177,13 +177,17 @@ def _grid(cp) -> tuple[str, list[float]]:
 # deterministic serialization
 
 def _jsonable(obj):
+    if isinstance(obj, float):
+        # NaN and the infinities are not JSON: an absent or non-finite
+        # quantity is written as null
+        return obj if math.isfinite(obj) else None
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {f.name: _jsonable(getattr(obj, f.name))
                 for f in dataclasses.fields(obj)}
     if isinstance(obj, enum.Enum):
         return obj.value
     if isinstance(obj, complex):
-        return {"re": obj.real, "im": obj.imag}
+        return {"re": _jsonable(obj.real), "im": _jsonable(obj.imag)}
     if isinstance(obj, dict):
         return {k: _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -192,7 +196,8 @@ def _jsonable(obj):
 
 
 def _json_text(data) -> str:
-    return json.dumps(_jsonable(data), sort_keys=True, indent=2) + "\n"
+    return json.dumps(_jsonable(data), sort_keys=True, indent=2,
+                      allow_nan=False) + "\n"
 
 
 def _write_json(outdir: str, name: str, data) -> str:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -29,6 +30,8 @@ __all__ = [
 ]
 
 _INV_E = 1.0 / math.e
+# below this b, b*b underflows and sqrt(b*b - a*a) loses its precision
+_B_SQUARE_UNDERFLOW = math.sqrt(sys.float_info.min)
 
 
 class Regime(enum.Enum):
@@ -60,8 +63,11 @@ def _scaled(coeffs: TaylorCoefficients, eta: float) -> tuple[float, float, float
     if not (eta > 0.0 and math.isfinite(eta)):
         raise InvalidSpec(f"eta must be finite and positive, got {eta!r}")
     a, b = eta * coeffs.a, eta * coeffs.b
-    if not 0.0 < b < math.inf:   # 0 <= a < b, so a is finite whenever b is
-        raise InvalidSpec(f"eta = {eta!r} scales b = {coeffs.b!r} out of the float range")
+    # 0 <= a < b, so a is finite whenever b is; a subnormal b has lost
+    # digits, and 1/b, the first bracket of tau*, overflows
+    if not sys.float_info.min <= b < math.inf:
+        raise InvalidSpec(f"eta = {eta!r} scales b = {coeffs.b!r} out of the "
+                          "normal float range")
     return a, b, coeffs.tau
 
 
@@ -210,12 +216,23 @@ def classify_regime(coeffs: TaylorCoefficients, eta: float = 1.0) -> Regime:
         raise InvalidSpec("regime classification needs tau > 0")
     if _delay_product(a, b, tau) <= _INV_E:
         return Regime.NON_OSCILLATORY_STABLE
-    # the scaled coefficients keep epsilon = a/b, so the critical delay of
-    # the scaled system is the eta-scaled stability limit
-    tau_c = math.acos(-a / b) / math.sqrt(b * b - a * a)
-    if tau < tau_c:
+    if tau < _critical_delay(a, b):
         return Regime.OSCILLATORY_STABLE
     return Regime.UNSTABLE
+
+
+def _critical_delay(a: float, b: float) -> float:
+    """Stability limit arccos(-a/b)/sqrt(b^2 - a^2) of the scaled system.
+
+    The scaled coefficients keep epsilon = a/b, so this is the eta-scaled
+    stability limit.  Where b*b underflows, the root is taken as
+    b*sqrt((1 - e)(1 + e)) with e = a/b, which stays positive; the result
+    is inf where it exceeds the float range.
+    """
+    if b >= _B_SQUARE_UNDERFLOW:
+        return math.acos(-a / b) / math.sqrt(b * b - a * a)
+    e = a / b
+    return math.acos(-e) / (b * math.sqrt((1.0 - e) * (1.0 + e)))
 
 
 def sweep_tau(coeffs: TaylorCoefficients, tau_grid, eta: float = 1.0):

@@ -81,7 +81,8 @@ class Trajectory:
 
     @property
     def dt(self) -> float:
-        return float(self.times[1] - self.times[0])
+        """The step of the run, also for a one-sample partial trajectory."""
+        return _step(self.config, delay_of(self.model))
 
 
 class Verdict(enum.Enum):
@@ -122,7 +123,8 @@ def integrate(spec: ModelSpec, config: SimConfig) -> Trajectory:
     node i-m+1 of the stored history, stages k2 and k3 the midpoint of
     [i-m, i-m+1], where the cubic Hermite interpolant through the samples
     and their derivatives is 0.5*(x_j + x_j+1) + dt/8*(f_j - f_j+1).
-    History on [-tau, 0] is the constant config.x_init.
+    Every stage calls the model's field spec.field(config.eta), bound once
+    per run.  History on [-tau, 0] is the constant config.x_init.
 
     Raises
     ------
@@ -149,8 +151,7 @@ def integrate(spec: ModelSpec, config: SimConfig) -> Trajectory:
         raise InvalidSpec(
             f"t_end = {config.t_end:.6g} too short: t_end >= 50*tau = "
             f"{50.0 * tau:.6g} required")
-    f = spec.rhs
-    eta = config.eta
+    f = spec.field(config.eta)
     n = int(round(config.t_end / dt))
     x0 = float(config.x_init)
     xs = [x0] * (n + 1)
@@ -160,7 +161,7 @@ def integrate(spec: ModelSpec, config: SimConfig) -> Trajectory:
     eighth = 0.125 * dt
     i = 0
     try:
-        fs[0] = f(x0, x0, eta)
+        fs[0] = f(x0, x0)
         for i in range(n):
             j = i - m
             if j < 0:
@@ -171,14 +172,14 @@ def integrate(spec: ModelSpec, config: SimConfig) -> Trajectory:
                 x_mid = 0.5 * (xs[j] + x_node) + eighth * (fs[j] - fs[j + 1])
             x = xs[i]
             k1 = fs[i]
-            k2 = f(x + half * k1, x_mid, eta)
-            k3 = f(x + half * k2, x_mid, eta)
-            k4 = f(x + dt * k3, x_node, eta)
+            k2 = f(x + half * k1, x_mid)
+            k3 = f(x + half * k2, x_mid)
+            k4 = f(x + dt * k3, x_node)
             xn = x + sixth * (k1 + 2.0 * (k2 + k3) + k4)
             if not (abs(xn) <= DIVERGENCE_THRESHOLD):
                 break
             xs[i + 1] = xn
-            fs[i + 1] = f(xn, x_node, eta)
+            fs[i + 1] = f(xn, x_node)
         else:
             return Trajectory(times=np.arange(n + 1, dtype=float) * dt,
                               values=np.array(xs), model=spec, config=config)
@@ -251,8 +252,7 @@ def metrics(traj: Trajectory) -> LimitCycleMetrics:
         prefix = vals[:stop]
         amp = 0.5 * float(prefix.max() - prefix.min()) if stop > 1 else 0.0
         return LimitCycleMetrics(Verdict.DIVERGED, amp, math.nan, math.nan)
-    dt = _step(traj.config, delay_of(traj.model))
-    if len(vals) < int(round(traj.config.t_end / dt)) + 1:
+    if len(vals) < int(round(traj.config.t_end / traj.dt)) + 1:
         amp = 0.5 * float(vals.max() - vals.min()) if len(vals) > 1 else 0.0
         return LimitCycleMetrics(Verdict.DIVERGED, amp, math.nan, math.nan)
     x_e = equilibrium(traj.model).x_e

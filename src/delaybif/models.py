@@ -100,10 +100,17 @@ class ModelSpec:
     """Base of every model variant: the one place a model's maths lives.
 
     A variant supplies ``variant`` (its name in configs), ``tau``, and the
-    methods ``equilibrium()``, ``taylor_coefficients()`` and
-    ``rhs(x, x_delayed, eta)``.  The module-level functions of the same
-    names check for a ModelSpec once and delegate.
+    methods ``equilibrium()``, ``taylor_coefficients()`` and ``field(eta)``.
+    ``field(eta)`` returns a closure ``f(x, x_delayed)`` that evaluates eta
+    times the model's right-hand side with the constants and eta bound as
+    locals, so a simulation looks nothing up per step; ``rhs(x, x_delayed,
+    eta)`` evaluates it once.  The module-level functions of the same names
+    check for a ModelSpec once and delegate.
     """
+
+    def rhs(self, x: float, x_delayed: float, eta: float) -> float:
+        """eta * f(x, x_delayed), through a field bound for this one call."""
+        return self.field(eta)(x, x_delayed)
 
 
 @dataclass(frozen=True)
@@ -171,8 +178,12 @@ class CubicBD(_DelayedPolynomial):
             tau=self.tau,
         )
 
-    def rhs(self, x: float, x_delayed: float, eta: float) -> float:
-        return eta * (-(x ** 3 - self.mu * x + self.lam) - self.k * x_delayed)
+    def field(self, eta: float):
+        mu, lam, k = self.mu, self.lam, self.k
+
+        def f(x: float, x_delayed: float) -> float:
+            return eta * (-(x * x * x - mu * x + lam) - k * x_delayed)
+        return f
 
 
 @dataclass(frozen=True)
@@ -205,8 +216,12 @@ class QuadraticBD(_DelayedPolynomial):
             tau=self.tau,
         )
 
-    def rhs(self, x: float, x_delayed: float, eta: float) -> float:
-        return eta * (-(x * x - self.mu * x + self.lam) - self.k * x_delayed)
+    def field(self, eta: float):
+        mu, lam, k = self.mu, self.lam, self.k
+
+        def f(x: float, x_delayed: float) -> float:
+            return eta * (-(x * x - mu * x + lam) - k * x_delayed)
+        return f
 
 
 @dataclass(frozen=True)
@@ -248,9 +263,12 @@ class Nicholson(ModelSpec):
             tau=self.tau,
         )
 
-    def rhs(self, x: float, x_delayed: float, eta: float) -> float:
-        return eta * (-self.gamma * x
-                      + self.p_rate * x_delayed * math.exp(-x_delayed / self.x0_size))
+    def field(self, eta: float):
+        gamma, p_rate, x0_size, exp = self.gamma, self.p_rate, self.x0_size, math.exp
+
+        def f(x: float, x_delayed: float) -> float:
+            return eta * (-gamma * x + p_rate * x_delayed * exp(-x_delayed / x0_size))
+        return f
 
 
 @dataclass(frozen=True)
@@ -276,13 +294,15 @@ class Generic(ModelSpec):
     def taylor_coefficients(self) -> TaylorCoefficients:
         return self.coeffs
 
-    def rhs(self, x: float, x_delayed: float, eta: float) -> float:
-        c = self.coeffs
-        u, v = x, x_delayed
-        return eta * (c.xi_x * u + c.xi_y * v
-                      + c.xi_xx * u * u + c.xi_xy * u * v + c.xi_yy * v * v
-                      + c.xi_xxx * u ** 3 + c.xi_xxy * u * u * v
-                      + c.xi_xyy * u * v * v + c.xi_yyy * v ** 3)
+    def field(self, eta: float):
+        x1, y1, xx, xy, yy, xxx, xxy, xyy, yyy, _ = self.coeffs.as_tuple()
+
+        def f(u: float, v: float) -> float:
+            # the Taylor polynomial in Horner form: its u-only, v-only and
+            # mixed terms
+            return eta * (u * (x1 + u * (xx + xxx * u)) + v * (y1 + v * (yy + yyy * v))
+                          + u * v * (xy + xxy * u + xyy * v))
+        return f
 
 
 def quadratic_roots(spec: QuadraticBD) -> tuple[float, float]:

@@ -249,6 +249,45 @@ def test_simulate_overflow_exit_code(tmp_path, capsys, ini):
     assert m["verdict"] == "Diverged"
 
 
+# --- strict JSON -----------------------------------------------------------
+
+def _no_constants(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+_STRICT_RUNS = {
+    "readme": CUBIC_INI,
+    "nicholson": NICHOLSON_INI + "[sim]\neta = 0.3\nx_init = 3.0\nt_end = 100.0\n",
+    "diverging": CUBIC_INI.replace("x_init = 0.9", "x_init = 5e5"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_STRICT_RUNS))
+def test_every_json_artifact_is_strict_json(tmp_path, capsys, name):
+    base = _STRICT_RUNS[name]
+    runs = [("analyze", base), ("simulate", base), ("roots", base),
+            ("sweep", base + _sweep_ini("tau", 0.05, 2.0, 5)),
+            ("sweep", base + _sweep_ini("epsilon", 0.0, 0.9, 4))]
+    if name != "diverging":
+        runs.append(("sweep", base + _sweep_ini("eta", 0.9, 1.1, 2)))
+    reports = {}
+    for i, (command, ini) in enumerate(runs):
+        code, stdout, _, out = _run(tmp_path, capsys, command, ini=ini,
+                                    extra=("--format", "json"), sub=f"out{i}")
+        assert code == (4 if name == "diverging" and command == "simulate" else 0)
+        if command == "analyze":
+            json.loads(stdout, parse_constant=_no_constants)
+        for path in sorted(out.glob("*.json")):
+            reports[path.name] = json.loads(path.read_text(),
+                                            parse_constant=_no_constants)
+    # absent and non-finite quantities are null
+    m = reports["metrics.json"]
+    assert (m["period"] is None) == (m["verdict"] != "LimitCycle")
+    assert (m["decay_rate"] is None) == (m["verdict"] != "ConvergedToEquilibrium")
+    conv = reports["analyze.json"]["convergence"]
+    assert None in (conv["sigma2"], conv["sigma3"])
+
+
 # --- roots -----------------------------------------------------------------
 
 def test_roots_table(tmp_path, capsys):

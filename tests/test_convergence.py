@@ -9,6 +9,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from delaybif import (
     InvalidSpec,
@@ -20,6 +22,7 @@ from delaybif import (
     non_oscillatory,
     rate_of_convergence,
     rightmost_roots,
+    stability_verdict,
     sweep_tau,
     tau_star,
 )
@@ -240,3 +243,42 @@ def test_decay_rate_across_the_overflow_threshold(a):
     assert rep.sigma > 0.0
     lam = complex(-rep.sigma, rep.u2 / c.tau)
     assert abs(char_value(c, 1.0, lam)) < 1e-6 * a
+
+
+# --- scaled coefficients whose square underflows ---------------------------
+
+@pytest.mark.parametrize("eps", [0.0, 0.5, 0.999])
+def test_b_squared_underflow_gives_finite_results(eps):
+    # eta*b = 9.4e-254, so (eta*b)^2 underflows to 0; the stability limit
+    # (pi/2)/(eta*b) for eps = 0 is about 1.7e253, far below tau
+    b = 4.1e-91
+    c = TaylorCoefficients(xi_x=-eps * b, xi_y=-b, tau=2e272)
+    eta = 2.3e-163
+    assert classify_regime(c, eta) is Regime.UNSTABLE
+    assert not non_oscillatory(c, eta)
+    assert math.isfinite(tau_star(c, eta))
+    rep = rate_of_convergence(c, eta)
+    assert rep.regime is Regime.UNSTABLE and rep.sigma == 0.0
+    assert math.isfinite(rep.tau_star) and math.isfinite(rep.sigma1)
+
+
+def test_subnormal_scaled_b_is_invalid():
+    # eta*b = 1.3e-311 is subnormal: 1/(eta*b) overflows and tau* came out NaN
+    c = TaylorCoefficients(xi_x=-1.12e-148, xi_y=-1.19e-148, tau=1.0)
+    for fn in _GAIN_FUNCTIONS:
+        with pytest.raises(InvalidSpec, match="float range"):
+            fn(c, 1.07e-163)
+
+
+@given(eps=st.floats(0.0, 0.99), log_eta=st.floats(-250.0, -150.0),
+       ratio=st.floats(0.2, 5.0))
+@settings(max_examples=100, deadline=None)
+def test_regime_matches_stability_verdict_below_b_squared_underflow(eps, log_eta, ratio):
+    # the unscaled verdict never underflows; the scaled regime must agree
+    # with it wherever tau is not within rounding of the stability limit
+    assume(abs(ratio - 1.0) > 1e-9)
+    eta = 10.0 ** log_eta
+    c0 = TaylorCoefficients(xi_x=-eps, xi_y=-1.0, tau=1.0)
+    c = replace(c0, tau=ratio * critical_eta(c0).eta_c / eta)
+    unstable = stability_verdict(c, eta) != "stable"
+    assert (classify_regime(c, eta) is Regime.UNSTABLE) == unstable

@@ -175,13 +175,18 @@ def test_divergence_carries_partial_trajectory():
 def test_overflowing_stage_is_divergence(spec, x_init):
     # x**3 and exp(-x_d/x0) overflow inside the RK4 stages before the
     # guard band test on the new state could see them
-    cfg = SimConfig(eta=1.0, x_init=x_init, t_end=50.0 * spec.tau)
-    with pytest.raises(Divergence) as exc:
-        integrate(spec, cfg)
-    traj = exc.value.trajectory
-    assert traj.values[0] == x_init
-    assert np.all(np.isfinite(traj.values))
-    assert metrics(traj).verdict is Verdict.DIVERGED
+    for dt in (None, spec.tau / 40.0):
+        cfg = SimConfig(eta=1.0, x_init=x_init, t_end=50.0 * spec.tau, dt=dt)
+        with pytest.raises(Divergence) as exc:
+            integrate(spec, cfg)
+        traj = exc.value.trajectory
+        assert traj.values[0] == x_init
+        assert np.all(np.isfinite(traj.values))
+        assert metrics(traj).verdict is Verdict.DIVERGED
+        # the first step overflows: the initial sample alone remains, and
+        # its step still comes from the run's configuration
+        assert traj.times.tolist() == [0.0]
+        assert traj.dt == (spec.tau / 100.0 if dt is None else dt)
 
 
 _EVERY_VARIANT = [

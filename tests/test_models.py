@@ -266,13 +266,18 @@ def test_delay_of_every_variant(ex1_spec, nich_spec, wright_coeffs):
     CubicBD(k=9.0, mu=1.0, lam=-7.0, tau=0.187),
     QuadraticBD(k=6.0, mu=1.0, lam=-7.0, tau=0.5),
     Nicholson(gamma=1.0, p_rate=50.0, x0_size=1.0, tau=1.0),
-    Generic(TaylorCoefficients(xi_x=-0.5, xi_y=-2.0, xi_xx=0.3, tau=2.0)),
+    Generic(TaylorCoefficients(xi_x=-0.5, xi_y=-2.0, xi_xx=0.3, xi_xy=-0.2,
+                               xi_yy=0.1, xi_xxx=-0.4, xi_xxy=0.05,
+                               xi_xyy=-0.06, xi_yyy=0.07, tau=2.0)),
 ], ids=lambda spec: spec.variant)
 def test_public_functions_delegate_to_the_spec(spec):
     assert equilibrium(spec) == spec.equilibrium()
     assert taylor_coefficients(spec) == spec.taylor_coefficients()
     assert delay_of(spec) == spec.tau
-    assert rhs(spec, 0.3, -0.2, 1.5) == spec.rhs(0.3, -0.2, 1.5)
+    for eta in (0.5, 1.5):
+        f = spec.field(eta)
+        for x, xd in ((0.3, -0.2), (2.1, 1.7), (-1.5, 0.4)):
+            assert f(x, xd) == rhs(spec, x, xd, eta) == spec.rhs(x, xd, eta)
     # a coefficient set is not a model, although it carries a delay
     for bad in (spec.taylor_coefficients(), "cubic"):
         for fn in (equilibrium, taylor_coefficients, delay_of):
@@ -280,3 +285,25 @@ def test_public_functions_delegate_to_the_spec(spec):
                 fn(bad)
         with pytest.raises(InvalidSpec):
             rhs(bad, 0.3, -0.2)
+
+
+_COEFF = st.floats(-10.0, 10.0, allow_nan=False)
+
+
+@given(c=st.tuples(*[_COEFF] * 7), u=_COEFF, v=_COEFF,
+       eta=st.floats(0.01, 100.0))
+@settings(max_examples=100, deadline=None)
+def test_generic_horner_field_matches_term_by_term(c, u, v, eta):
+    xi_xx, xi_xy, xi_yy, xi_xxx, xi_xxy, xi_xyy, xi_yyy = c
+    coeffs = TaylorCoefficients(xi_x=-0.5, xi_y=-2.0, xi_xx=xi_xx, xi_xy=xi_xy,
+                                xi_yy=xi_yy, xi_xxx=xi_xxx, xi_xxy=xi_xxy,
+                                xi_xyy=xi_xyy, xi_yyy=xi_yyy, tau=1.0)
+    # the oracle: the Taylor polynomial written out term by term
+    terms = [-0.5 * u, -2.0 * v, xi_xx * u * u, xi_xy * u * v, xi_yy * v * v,
+             xi_xxx * u * u * u, xi_xxy * u * u * v, xi_xyy * u * v * v,
+             xi_yyy * v * v * v]
+    expect = eta * math.fsum(terms)
+    # relative to the terms' magnitude, the only scale a sum that may
+    # cancel to 0 has
+    scale = eta * math.fsum(map(abs, terms))
+    assert abs(Generic(coeffs).field(eta)(u, v) - expect) <= 1e-13 * scale
