@@ -30,8 +30,6 @@ __all__ = [
 ]
 
 _INV_E = 1.0 / math.e
-# below this b, b*b underflows and sqrt(b*b - a*a) loses its precision
-_B_SQUARE_UNDERFLOW = math.sqrt(sys.float_info.min)
 
 
 class Regime(enum.Enum):
@@ -161,8 +159,9 @@ def rate_of_convergence(coeffs: TaylorCoefficients, eta: float = 1.0) -> Converg
     Raises
     ------
     InvalidSpec
-        If tau <= 0, eta is not finite and positive, or eta*b overflows or
-        underflows to 0.
+        If tau <= 0, eta is not finite and positive, or eta*b is not a
+        finite normal float (it overflows, or underflows to a subnormal or
+        to 0).
     """
     a, b, tau = _scaled(coeffs, eta)
     if tau <= 0.0:
@@ -225,12 +224,11 @@ def _critical_delay(a: float, b: float) -> float:
     """Stability limit arccos(-a/b)/sqrt(b^2 - a^2) of the scaled system.
 
     The scaled coefficients keep epsilon = a/b, so this is the eta-scaled
-    stability limit.  Where b*b underflows, the root is taken as
-    b*sqrt((1 - e)(1 + e)) with e = a/b, which stays positive; the result
-    is inf where it exceeds the float range.
+    stability limit.  The root is taken as b*sqrt((1 - e)(1 + e)) with
+    e = a/b, so no b*b is formed: it cannot underflow for the normal b
+    that _scaled admits.  The result is inf where it exceeds the float
+    range.
     """
-    if b >= _B_SQUARE_UNDERFLOW:
-        return math.acos(-a / b) / math.sqrt(b * b - a * a)
     e = a / b
     return math.acos(-e) / (b * math.sqrt((1.0 - e) * (1.0 + e)))
 

@@ -184,7 +184,9 @@ def integrate(spec: ModelSpec, config: SimConfig) -> Trajectory:
             return Trajectory(times=np.arange(n + 1, dtype=float) * dt,
                               values=np.array(xs), model=spec, config=config)
     except OverflowError:
-        pass  # a stage that overflows has left the guard band as well
+        # a math.exp stage that overflows has left the guard band as well;
+        # products of floats give inf instead and fail the guard band test
+        pass
     partial = Trajectory(times=np.arange(i + 1, dtype=float) * dt,
                          values=np.array(xs[:i + 1]), model=spec, config=config)
     raise Divergence(f"|x| exceeded {DIVERGENCE_THRESHOLD:.0e} at t = "

@@ -262,6 +262,20 @@ def test_b_squared_underflow_gives_finite_results(eps):
     assert math.isfinite(rep.tau_star) and math.isfinite(rep.sigma1)
 
 
+@pytest.mark.parametrize("eps", [0.0, 0.2, 0.9])
+def test_b_squared_overflow_keeps_the_stability_limit(eps):
+    # eta*b = 1e200, so (eta*b)^2 overflows; eta*b*tau = 1.5 sits below the
+    # stability limit arccos(-eps)/sqrt(1 - eps^2) >= pi/2 for every eps here
+    c = TaylorCoefficients(xi_x=-eps, xi_y=-1.0, tau=1.5e-200)
+    eta = 1e200
+    assert stability_verdict(c, eta) == "stable"
+    assert classify_regime(c, eta) is Regime.OSCILLATORY_STABLE
+    rep = rate_of_convergence(c, eta)
+    assert rep.regime is Regime.OSCILLATORY_STABLE and rep.sigma > 0.0
+    lam = complex(-rep.sigma, rep.u2 / c.tau)
+    assert abs(char_value(c, eta, lam)) < 1e-9 * eta * c.b
+
+
 def test_subnormal_scaled_b_is_invalid():
     # eta*b = 1.3e-311 is subnormal: 1/(eta*b) overflows and tau* came out NaN
     c = TaylorCoefficients(xi_x=-1.12e-148, xi_y=-1.19e-148, tau=1.0)

@@ -173,8 +173,9 @@ def test_divergence_carries_partial_trajectory():
     (Nicholson(gamma=1.0, p_rate=50.0, x0_size=1.0, tau=1.0), -800.0),
 ])
 def test_overflowing_stage_is_divergence(spec, x_init):
-    # x**3 and exp(-x_d/x0) overflow inside the RK4 stages before the
-    # guard band test on the new state could see them
+    # the first step leaves the float range inside the RK4 stages: the
+    # cubic's x*x*x becomes inf and the guard band test on the new state
+    # stops the run, while exp(-x_d/x0) raises OverflowError
     for dt in (None, spec.tau / 40.0):
         cfg = SimConfig(eta=1.0, x_init=x_init, t_end=50.0 * spec.tau, dt=dt)
         with pytest.raises(Divergence) as exc:
