@@ -1,6 +1,7 @@
 """Analysis of the characteristic equation lambda + eta*a + eta*b*e^(-lambda*tau) = 0.
 
-Hopf point location, closed-form stability verdicts, transversality, and a
+Hopf point location, closed-form stability verdicts, transversality, the
+principal Lambert-W branch behind the decay rates of `convergence`, and a
 numerical rightmost-root oracle based on argument-principle winding counts
 with Newton polish.  Only the principal (n = 0) crossing branch is treated.
 """
@@ -10,7 +11,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .errors import DegenerateLinearization, InvalidSpec, NoConvergence
+from .errors import InvalidSpec, NoConvergence
 from .models import TaylorCoefficients
 
 __all__ = [
@@ -97,41 +98,48 @@ class RootSearchRegion:
         return cls(re_min=re_min, re_max=re_max, im_max=im_max)
 
 
-def _require_cone(coeffs: TaylorCoefficients) -> tuple[float, float]:
-    a, b = coeffs.a, coeffs.b
-    if b <= a or b <= 0.0 or a < 0.0:
-        raise DegenerateLinearization(f"need 0 <= a < b, got a = {a}, b = {b}")
-    return a, b
+def _stability_limit(a: float, b: float) -> tuple[float, float]:
+    """(arccos(-e), sqrt(b^2 - a^2)), e = a/b: stable iff eta*tau*s < theta.
+
+    With r = sqrt((1 - e)(1 + e)), 1 - e taken as (b - a)/b, the pair is
+    (atan2(r, -e), b*r): no b*b is formed, and no digits are lost as a -> b.
+    """
+    e = a / b
+    r = math.sqrt((b - a) / b * (1.0 + e))
+    return math.atan2(r, -e), b * r
 
 
 def critical_eta(coeffs: TaylorCoefficients) -> HopfPoint:
     """Hopf point of the linearization.
 
-    Solves eta_c * tau * sqrt(b^2 - a^2) = arccos(-a/b) for the critical
-    gain, with omega0 = eta_c * sqrt(b^2 - a^2), and evaluates the real-part
-    derivative
+    With theta = arccos(-e), e = a/b, s = sqrt(b^2 - a^2) and r = s/b, the
+    crossing is at omega0 = theta/tau and eta_c = theta/(tau*s), and
 
-        alpha'(0) = eta_c * tau * (b^2 - a^2)
-                    / (1 + 2*eta_c*a*tau + eta_c^2 * b^2 * tau^2)
+        alpha'(0) = theta*s / (1 + (2*theta*e + theta^2/r)/r)
 
-    which is strictly positive, so the crossing is always transversal.
+    is strictly positive, so the crossing is always transversal.
+
+    Raises
+    ------
+    InvalidSpec
+        If tau <= 0, or a field is not a finite positive float (eta_c
+        overflows where tau*b underflows, say).
     """
-    a, b = _require_cone(coeffs)
+    a, b = coeffs.a, coeffs.b
     tau = coeffs.tau
     if tau <= 0.0:
         raise InvalidSpec("critical_eta needs tau > 0")
-    s = math.sqrt(b * b - a * a)
-    eta_c = math.acos(-a / b) / (tau * s)
-    omega0 = eta_c * s
-    alpha_prime = (eta_c * tau * (b * b - a * a)
-                   / (1.0 + 2.0 * eta_c * a * tau + eta_c ** 2 * b * b * tau ** 2))
-    return HopfPoint(
-        eta_c=eta_c,
-        omega0=omega0,
-        period=2.0 * math.pi / omega0,
-        frequency=omega0 / (2.0 * math.pi),
-        alpha_prime=alpha_prime,
-    )
+    theta, s = _stability_limit(a, b)
+    if s > 0.0:
+        omega0, r = theta / tau, s / b
+        eta_c, period = omega0 / s, 2.0 * math.pi / omega0
+        alpha_prime = theta * (s / (1.0 + (2.0 * theta * (a / b) + theta * theta / r) / r))
+        if min(eta_c, alpha_prime) > 0.0 and max(eta_c, omega0, period, alpha_prime) < math.inf:
+            return HopfPoint(eta_c=eta_c, omega0=omega0, period=period,
+                             frequency=omega0 / (2.0 * math.pi),
+                             alpha_prime=alpha_prime)
+    raise InvalidSpec(f"the Hopf point of a = {a!r}, b = {b!r}, tau = {tau!r} "
+                      "is outside the float range")
 
 
 def stability_verdict(coeffs: TaylorCoefficients, eta: float) -> str:
@@ -141,12 +149,12 @@ def stability_verdict(coeffs: TaylorCoefficients, eta: float) -> str:
     strictly, ``"critical"`` on exact equality (the Hopf point itself), and
     ``"unstable"`` beyond it.
     """
-    a, b = _require_cone(coeffs)
+    a, b = coeffs.a, coeffs.b
     _require_gain(eta)
     if coeffs.tau <= 0.0:
         raise InvalidSpec("stability verdict needs tau > 0")
-    lhs = eta * coeffs.tau * math.sqrt(b * b - a * a)
-    rhs = math.acos(-a / b)
+    rhs, s = _stability_limit(a, b)
+    lhs = eta * coeffs.tau * s
     if lhs < rhs:
         return "stable"
     if lhs == rhs:
@@ -165,14 +173,58 @@ def sufficient_stable(coeffs: TaylorCoefficients, eta: float) -> bool:
     Conservative: whenever this holds, is_locally_stable holds too, but the
     converse can fail (the gap is largest for a close to b).
     """
-    if coeffs.b <= 0.0:
-        raise DegenerateLinearization("b must be positive")
     return eta * coeffs.b * coeffs.tau < 0.5 * math.pi
 
 
 def char_value(coeffs: TaylorCoefficients, eta: float, lam: complex) -> complex:
     """Evaluate lambda + eta*a + eta*b*e^(-lambda*tau) at a complex lambda."""
     return lam + eta * coeffs.a + eta * coeffs.b * cmath.exp(-lam * coeffs.tau)
+
+
+# 1/e and its rounding error, so that z + 1/e keeps its digits near -1/e
+_INV_E, _INV_E_LO = 0.36787944117144233, -1.2428753672788363e-17
+# W0 in powers of p = sqrt(2(e z + 1)) (Corless et al. 1996, eq. 4.22); the
+# error is below 1e-18 for |p| < 0.01
+_BRANCH_SERIES = (-1.0, 1.0, -1 / 3, 11 / 72, -43 / 540, 769 / 17280,
+                  -221 / 8505, 680863 / 43545600)
+
+
+def _lambert_w0(z: float, log_z: complex | None = None) -> complex:
+    """Principal branch W0 of w e^w = z for real z; Im w > 0 below -1/e.
+
+    Near -1/e and near 0, Halley iteration on w e^w - z from the starts of
+    Corless et al. (1996): the series in p, returned as is for |p| < 0.01
+    where Halley's division by w + 1 would only add noise, and log(1 + z).
+    Elsewhere Newton on w + log w = L from L - log L, where L is log_z if
+    given, else log z; so z may be inf where only its logarithm is finite.
+    """
+    d = (z + _INV_E) + _INV_E_LO
+    log_target = None
+    if abs(d) < 0.3:
+        p = cmath.sqrt(2.0 * math.e * d)
+        w = 0j
+        for c in reversed(_BRANCH_SERIES):
+            w = w * p + c
+        if abs(p) < 0.01:
+            return w
+    elif d > 0.0 and z <= 3.0:
+        w = complex(math.log1p(z))
+    else:
+        log_target = cmath.log(z) if log_z is None else log_z
+        w = log_target - cmath.log(log_target)
+    # cubic or quadratic convergence: the iterate after a step below 1e-8
+    # is exact to rounding
+    for _ in range(64):
+        if log_target is None:
+            ew = cmath.exp(w)
+            f = w * ew - z
+            step = f / (ew * (w + 1.0) - (w + 2.0) * f / (2.0 * w + 2.0))
+        else:
+            step = (w + cmath.log(w) - log_target) * w / (w + 1.0)
+        w, last = w - step, w
+        if abs(w - last) <= 1e-8 * abs(w):
+            return w
+    raise NoConvergence(f"Lambert W iteration did not converge at z = {z!r}")
 
 
 def _phase_winding(A: float, B: float, tau: float,

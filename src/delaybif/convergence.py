@@ -1,14 +1,17 @@
 """Rate of convergence and oscillation regimes of the linearized system.
 
 The linear model u'(t) = -a u(t) - b u(t - tau) converges like e^(-sigma t)
-whenever it is stable; sigma follows from the rightmost characteristic root
-and is available in closed form through three candidate rates.  The delay
-tau* solving b tau e^(a tau) = 1/e separates the non-oscillatory regime
-(real rightmost root, sigma rising with tau) from the oscillatory one
-(complex rightmost root, sigma falling with tau).
+whenever it is stable.  Its characteristic roots are -a + W_k(z)/tau with
+z = -b tau e^(a tau), and the principal Lambert-W branch W0 gives the
+rightmost one, so sigma = a - Re W0(z)/tau, and the auxiliary angle of the
+oscillatory regime is u2 = |Im W0(z)|.  The delay
+tau* = e^(-1 - W0(a/(b e)))/b, the root of b tau e^(a tau) = 1/e, separates
+the non-oscillatory regime (real rightmost root, sigma rising with tau) from
+the oscillatory one (complex rightmost root, sigma falling with tau).
 """
 from __future__ import annotations
 
+import cmath
 import dataclasses
 import enum
 import math
@@ -16,6 +19,7 @@ import sys
 from dataclasses import dataclass
 from typing import Optional
 
+from .chareq import _INV_E, _lambert_w0, _require_gain, stability_verdict
 from .errors import InvalidSpec
 from .models import TaylorCoefficients
 
@@ -28,8 +32,6 @@ __all__ = [
     "classify_regime",
     "sweep_tau",
 ]
-
-_INV_E = 1.0 / math.e
 
 
 class Regime(enum.Enum):
@@ -58,11 +60,10 @@ class ConvergenceReport:
 
 def _scaled(coeffs: TaylorCoefficients, eta: float) -> tuple[float, float, float]:
     """Fold the gain into the linear coefficients: (eta*a, eta*b, tau)."""
-    if not (eta > 0.0 and math.isfinite(eta)):
-        raise InvalidSpec(f"eta must be finite and positive, got {eta!r}")
+    _require_gain(eta)
     a, b = eta * coeffs.a, eta * coeffs.b
     # 0 <= a < b, so a is finite whenever b is; a subnormal b has lost
-    # digits, and 1/b, the first bracket of tau*, overflows
+    # digits, and tau* ~ 1/b overflows
     if not sys.float_info.min <= b < math.inf:
         raise InvalidSpec(f"eta = {eta!r} scales b = {coeffs.b!r} out of the "
                           "normal float range")
@@ -80,81 +81,48 @@ def _delay_product(a: float, b: float, tau: float) -> float:
         return math.inf
 
 
-def _tau_star_ab(a: float, b: float) -> float:
-    # bisection on the strictly increasing map tau -> b tau e^(a tau),
-    # then Newton to machine precision: downstream the defect 1/e - b tau
-    # e^(a tau) enters decay rates under a square root, so tau* must be
-    # much tighter than the rates themselves
-    lo = 0.0
-    hi = 1.0 / b
-    while b * hi * math.exp(a * hi) < _INV_E:
-        hi *= 2.0
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        if hi - lo < 1e-12 * max(1.0, hi):
-            break
-        if b * mid * math.exp(a * mid) < _INV_E:
-            lo = mid
-        else:
-            hi = mid
-    tau = 0.5 * (lo + hi)
-    for _ in range(3):
-        ea = math.exp(a * tau)
-        tau -= (b * tau * ea - _INV_E) / (b * ea * (1.0 + a * tau))
-    return tau
-
-
 def tau_star(coeffs: TaylorCoefficients, eta: float = 1.0) -> float:
-    """Delay of maximal decay rate, the root of b*tau*e^(a*tau) = 1/e."""
-    a, b, _ = _scaled(coeffs, eta)
-    return _tau_star_ab(a, b)
+    """Delay of maximal decay rate, the root of b*tau*e^(a*tau) = 1/e.
 
-
-def _g(u: float) -> float:
-    """Oscillatory-branch characteristic map (u/sin u) e^(-u/tan u).
-
-    Strictly increasing on (0, pi), from 1/e to +infinity; g(pi/2) = pi/2.
-    inf where it overflows, near pi.
+    Taken as e^(-1 - W0(a/(b e)))/b, which needs no limit at a = 0.
     """
-    try:
-        return (u / math.sin(u)) * math.exp(-u / math.tan(u))
-    except OverflowError:
-        return math.inf
+    a, b, _ = _scaled(coeffs, eta)
+    return math.exp(-1.0 - _lambert_w0(a / b / math.e).real) / b
 
 
-def _log_g(u: float) -> float:
-    """log g(u), for targets g(u2) beyond the float range."""
-    return math.log(u / math.sin(u)) - u / math.tan(u)
-
-
-def _bisect_increasing(fn, lo: float, hi: float, target: float) -> float:
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        if hi - lo < 1e-12 * max(1.0, abs(hi)):
-            break
-        if fn(mid) < target:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+def _polish(nu: complex, bt: float, gap: float) -> complex:
+    """Two Newton steps on nu = sigma*tau + i(pi - u2), given b*tau and the
+    exact gap (b - a)*tau, where the characteristic equation reads
+    nu - i pi + gap + bt*expm1(nu) = 0.  Near the cone edge its real part
+    sums small terms without cancellation, and its derivative 1 + W0(z) is
+    about 1 + a*tau, so sigma*tau comes out to full relative precision."""
+    for _ in range(2):
+        x, y = nu.real, nu.imag
+        ex = math.exp(x)
+        g = complex(x + gap + bt * (math.expm1(x) * math.cos(y) - 2.0 * math.sin(0.5 * y) ** 2),
+                    y - math.pi + bt * ex * math.sin(y))
+        nu -= g / (1.0 + bt * ex * cmath.exp(1j * y))
+    return nu
 
 
 def rate_of_convergence(coeffs: TaylorCoefficients, eta: float = 1.0) -> ConvergenceReport:
     """Closed-form decay rate sigma of the linearized system.
 
-    The three candidates:
+    With z = -b tau e^(a tau), the rightmost characteristic root is
+    lambda0 = -a + W0(z)/tau, and the three candidates are
 
         sigma1 = a + 1/tau                  (branch-point bound)
-        sigma2 : (sigma-a) tau e^((a-sigma) tau) = b tau e^(a tau),
-                 bisected on (a, a + 1/tau); finite only for tau <= tau*
-        sigma3 = a + u2 / (tau tan u2) with g(u2) = b tau e^(a tau),
-                 u2 in (0, pi); finite only for tau > tau*; solved in
-                 logarithms where b tau e^(a tau) overflows
+        sigma2 = a - W0(z)/tau, W0 real in [-1, 0); finite only for
+                 tau <= tau* (z >= -1/e)
+        sigma3 = a - Re W0(z)/tau = a + u2/(tau tan u2), u2 = Im W0(z)
+                 in (0, pi); finite only for tau > tau*
 
-    and sigma = min over the finite ones.  For eta != 1 the gain is folded
-    into the coefficients (a <- eta*a, b <- eta*b) first.  An unstable
-    configuration is reported as regime UNSTABLE with sigma = 0; sigma3 is
-    still filled in (it is then the negative growth-rate bound).
+    and sigma = min over the finite ones.  sigma3 and u2 are polished by
+    Newton on the characteristic equation, and where b tau e^(a tau)
+    overflows W0 is found from its logarithm.  For eta != 1 the gain is
+    folded into the coefficients (a <- eta*a, b <- eta*b) first.  An
+    unstable configuration is reported as regime UNSTABLE with sigma = 0;
+    sigma3 is still filled in (it is then the negative growth-rate bound).
 
     Raises
     ------
@@ -166,33 +134,28 @@ def rate_of_convergence(coeffs: TaylorCoefficients, eta: float = 1.0) -> Converg
     a, b, tau = _scaled(coeffs, eta)
     if tau <= 0.0:
         raise InvalidSpec("rate of convergence needs tau > 0")
-    ts = _tau_star_ab(a, b)
-    target = _delay_product(a, b, tau)
+    product = _delay_product(a, b, tau)
+    log_bt = math.log(b) + math.log(tau)
+    w = _lambert_w0(-product, complex(log_bt + a * tau, math.pi))
     sigma1 = a + 1.0 / tau
-    u2 = None
-    if tau <= ts:
-        sigma3 = math.inf
-
-        def real_branch(s: float) -> float:
-            return (s - a) * tau * math.exp((a - s) * tau)
-
-        sigma2 = _bisect_increasing(real_branch, a, sigma1, target)
+    if product <= _INV_E:
+        # a - W0/tau adds two nonnegative numbers: nothing to polish
+        sigma2, sigma3, u2 = a - w.real / tau, math.inf, None
     else:
-        sigma2 = math.inf
-        if math.isfinite(target):
-            u2 = _bisect_increasing(_g, 1e-9, math.pi - 1e-9, target)
-        else:
-            log_target = math.log(b) + math.log(tau) + a * tau
-            u2 = _bisect_increasing(_log_g, 1e-9, math.pi - 1e-9, log_target)
-        sigma3 = a + u2 / (tau * math.tan(u2))
+        # W0 = b tau e^nu: log W0 gives both parts without the cancellation
+        # of a*tau - Re W0 and pi - Im W0; Newton then refines them, except
+        # at the double root at tau*, where 1 + W0 vanishes, and where b*tau
+        # overflows, far beyond the stability limit
+        nu = cmath.log(w) - log_bt
+        if abs(1.0 + w) > 1e-3 and b * tau < math.inf:
+            nu = _polish(nu, b * tau, eta * (coeffs.b - coeffs.a) * tau)
+        sigma2, sigma3, u2 = math.inf, nu.real / tau, math.pi - nu.imag
     sigma = min(sigma1, sigma2, sigma3)
     regime = classify_regime(coeffs, eta)
     if regime is Regime.UNSTABLE or sigma <= 0.0:
-        return ConvergenceReport(sigma=0.0, sigma1=sigma1, sigma2=sigma2,
-                                 sigma3=sigma3, tau_star=ts, u2=u2,
-                                 regime=Regime.UNSTABLE)
-    return ConvergenceReport(sigma=sigma, sigma1=sigma1, sigma2=sigma2,
-                             sigma3=sigma3, tau_star=ts, u2=u2, regime=regime)
+        sigma, regime = 0.0, Regime.UNSTABLE
+    return ConvergenceReport(sigma=sigma, sigma1=sigma1, sigma2=sigma2, sigma3=sigma3,
+                             tau_star=tau_star(coeffs, eta), u2=u2, regime=regime)
 
 
 def non_oscillatory(coeffs: TaylorCoefficients, eta: float = 1.0) -> bool:
@@ -206,31 +169,16 @@ def non_oscillatory(coeffs: TaylorCoefficients, eta: float = 1.0) -> bool:
 def classify_regime(coeffs: TaylorCoefficients, eta: float = 1.0) -> Regime:
     """Place tau among the regime boundaries tau* and the stability limit.
 
-    NonOscillatoryStable on (0, tau*], OscillatoryStable on
-    (tau*, arccos(-a/b)/(eta*sqrt(b^2-a^2))), Unstable at and beyond the
-    stability limit.
+    Unstable exactly where ``stability_verdict`` is not "stable", that is
+    at and beyond eta*tau*sqrt(b^2-a^2) = arccos(-a/b); otherwise
+    NonOscillatoryStable on (0, tau*] and OscillatoryStable above tau*.
     """
     a, b, tau = _scaled(coeffs, eta)
-    if tau <= 0.0:
-        raise InvalidSpec("regime classification needs tau > 0")
+    if stability_verdict(coeffs, eta) != "stable":
+        return Regime.UNSTABLE
     if _delay_product(a, b, tau) <= _INV_E:
         return Regime.NON_OSCILLATORY_STABLE
-    if tau < _critical_delay(a, b):
-        return Regime.OSCILLATORY_STABLE
-    return Regime.UNSTABLE
-
-
-def _critical_delay(a: float, b: float) -> float:
-    """Stability limit arccos(-a/b)/sqrt(b^2 - a^2) of the scaled system.
-
-    The scaled coefficients keep epsilon = a/b, so this is the eta-scaled
-    stability limit.  The root is taken as b*sqrt((1 - e)(1 + e)) with
-    e = a/b, so no b*b is formed: it cannot underflow for the normal b
-    that _scaled admits.  The result is inf where it exceeds the float
-    range.
-    """
-    e = a / b
-    return math.acos(-e) / (b * math.sqrt((1.0 - e) * (1.0 + e)))
+    return Regime.OSCILLATORY_STABLE
 
 
 def sweep_tau(coeffs: TaylorCoefficients, tau_grid, eta: float = 1.0):
@@ -239,8 +187,5 @@ def sweep_tau(coeffs: TaylorCoefficients, tau_grid, eta: float = 1.0):
     Returns a list of (tau, ConvergenceReport) pairs; the coefficient set is
     reused with only the delay replaced.
     """
-    out = []
-    for tau in tau_grid:
-        c = dataclasses.replace(coeffs, tau=float(tau))
-        out.append((float(tau), rate_of_convergence(c, eta)))
-    return out
+    return [(float(tau), rate_of_convergence(dataclasses.replace(coeffs, tau=float(tau)), eta))
+            for tau in tau_grid]

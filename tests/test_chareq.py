@@ -27,6 +27,8 @@ from delaybif import (
     sufficient_stable,
 )
 
+from delaybif.chareq import _lambert_w0
+
 from _oracles import (
     EX1_ALPHA_PRIME,
     EX1_ETA_C,
@@ -87,6 +89,34 @@ def test_hopf_point_internal_consistency(ex1_coeffs, ex2_coeffs, wright_coeffs):
 def test_hopf_point_rejects_degenerate_linearization():
     with pytest.raises(InvalidSpec):
         critical_eta(TaylorCoefficients(xi_x=0.0, xi_y=-1.0, tau=0.0))
+
+
+def test_hopf_point_outside_float_range_is_invalid():
+    # eta_c = (pi/2)/(tau*b) = 1.6e600 overflows
+    with pytest.raises(InvalidSpec, match="float range"):
+        critical_eta(TaylorCoefficients(xi_x=0.0, xi_y=-1e-300, tau=1e-300))
+
+
+def test_stability_limit_where_b_squared_underflows():
+    # b*b = 1e-340 underflows to 0; the limit is eta*tau*b = pi/2
+    c = TaylorCoefficients(xi_x=0.0, xi_y=-1e-170, tau=1.0)
+    hopf = critical_eta(c)
+    assert hopf.eta_c == pytest.approx(0.5 * math.pi * 1e170, rel=1e-15)
+    assert hopf.omega0 == pytest.approx(0.5 * math.pi, rel=1e-15)
+    assert stability_verdict(c, 1.0) == "stable"
+    assert stability_verdict(dataclasses.replace(c, tau=1e200), 1.0) == "unstable"
+
+
+def test_stability_limit_where_b_squared_overflows():
+    # b*b = 1e400 overflows; eta*b*tau = 1.5 sits below the limit
+    # arccos(-0.2)/sqrt(0.96) = 1.8087
+    c = TaylorCoefficients(xi_x=-2e199, xi_y=-1e200, tau=1.5e-200)
+    assert stability_verdict(c, 1.0) == "stable"
+    assert stability_verdict(c, 1.3) == "unstable"
+    hopf = critical_eta(c)
+    assert hopf.eta_c == pytest.approx(math.acos(-0.2) / math.sqrt(0.96) / 1.5,
+                                       rel=1e-14)
+    assert abs(char_value(c, hopf.eta_c, 1j * hopf.omega0)) < 1e-12 * hopf.eta_c * c.b
 
 
 # --- verdicts --------------------------------------------------------------
@@ -292,3 +322,53 @@ def test_overflowing_sample_count_fails_cleanly():
     region = RootSearchRegion(re_min=-1.0, re_max=1.0, im_max=1e10)
     with pytest.raises(NoConvergence):
         rightmost_roots(c, 1.0, search=region)
+
+
+# --- the Lambert-W primitive -----------------------------------------------
+
+_W0_BRANCH_CUT = list(-np.geomspace(math.exp(-1.0) + 1e-2, 1e300, 400))
+_W0_NEAR_BRANCH_POINT = [-math.exp(-1.0) + s * d for d in (1e-2, 1e-3, 1e-4, 1e-5)
+                         for s in (-1.0, 1.0)]
+_W0_REAL_BRANCH = (list(np.linspace(0.0, math.exp(-1.0), 200, endpoint=False))
+                   + [10.0 ** x for x in np.linspace(-300.0, -1.0, 100)])
+
+
+@pytest.mark.parametrize("zs", [_W0_BRANCH_CUT, _W0_NEAR_BRANCH_POINT, _W0_REAL_BRANCH],
+                         ids=["branch-cut", "near-branch-point", "real-branch"])
+def test_lambert_w0_matches_scipy(zs):
+    special = pytest.importorskip("scipy.special")
+    for z in map(float, zs):
+        w, ref = _lambert_w0(z), complex(special.lambertw(z, 0))
+        assert abs(w - ref) <= 1e-13 * abs(ref), z
+
+
+def test_lambert_w0_at_the_branch_point():
+    # closer in than 1e-5, scipy's own value loses digits to e*z + 1; check
+    # the branch (real above -1/e, Im w > 0 below) and the defining relation
+    for d in 10.0 ** np.linspace(-16.0, -5.0, 23):
+        for z in (-math.exp(-1.0) + d, -math.exp(-1.0) - d):
+            w = _lambert_w0(z)
+            assert abs(w + 1.0) < 2.0 * math.sqrt(2.0 * math.e * d) + 1e-15
+            assert abs(w * cmath.exp(w) - z) < 1e-16
+            assert (w.imag == 0.0) if z > -math.exp(-1.0) else (w.imag > 0.0)
+
+
+@pytest.mark.parametrize("log_abs_z", [700.0, 1e5, 1e100, 1e300])
+def test_lambert_w0_logarithmic_form(log_abs_z):
+    # z itself overflows; w + log w = log z must hold, on both half-lines,
+    # with the value from above the cut on the negative one (Im w rounds to
+    # pi once |w| passes 1e16)
+    for z, log_z in ((math.inf, complex(log_abs_z)),
+                     (-math.inf, complex(log_abs_z, math.pi))):
+        w = _lambert_w0(z, log_z)
+        assert abs(w + cmath.log(w) - log_z) <= 4e-16 * abs(log_z)
+        assert (0.0 < w.imag <= math.pi) if z < 0.0 else (w.imag == 0.0)
+
+
+def test_lambert_w0_at_the_largest_floats():
+    # an OverflowError here would leave a model unanswered; an overflowing
+    # z passed by its logarithm must give the same value
+    for z in (1e308, -1e308, 1.7e308, -1.7e308):
+        w = _lambert_w0(z)
+        assert abs(w + cmath.log(w) - cmath.log(z)) <= 1e-15 * abs(cmath.log(z))
+        assert _lambert_w0(math.copysign(math.inf, z), cmath.log(z)) == w

@@ -27,6 +27,8 @@ from delaybif import (
     tau_star,
 )
 
+from delaybif.chareq import _stability_limit
+
 from _oracles import (
     EX1_TAU_STAR,
     ROOT_A0_B1_TAU03,
@@ -296,3 +298,52 @@ def test_regime_matches_stability_verdict_below_b_squared_underflow(eps, log_eta
     c = replace(c0, tau=ratio * critical_eta(c0).eta_c / eta)
     unstable = stability_verdict(c, eta) != "stable"
     assert (classify_regime(c, eta) is Regime.UNSTABLE) == unstable
+
+
+# --- the cone edge and large a*tau -----------------------------------------
+
+def test_cone_edge_decay_rate_is_resolved():
+    # a*tau = 1e6 and b/a - 1 = 1e-13: a - Re W0(z)/tau carries a rounding
+    # error of 2e-10, forty times sigma itself (60-digit Lambert W:
+    # sigma = 4.8349031499000755e-12)
+    c = TaylorCoefficients(xi_x=-1e6, xi_y=-1e6 * (1.0 + 1e-13), tau=1.0)
+    rep = rate_of_convergence(c)
+    assert stability_verdict(c, 1.0) == "stable"
+    assert rep.regime is Regime.OSCILLATORY_STABLE
+    assert rep.sigma == pytest.approx(4.8349031499000755e-12, rel=1e-9)
+
+
+def test_near_cone_edge_root_solves_characteristic_equation():
+    a = 5000.0
+    c = TaylorCoefficients(xi_x=-a, xi_y=-a * (1.0 + 1e-9), tau=1.0)
+    rep = rate_of_convergence(c)
+    lam = complex(-rep.sigma, rep.u2 / c.tau)
+    assert abs(char_value(c, 1.0, lam)) < 1e-9 * (1.0 + c.a + c.b)
+
+
+@pytest.mark.parametrize("tau", [1e9, 1e10])
+def test_growth_bound_at_large_delay(tau):
+    # the rightmost roots of u' = -2u - 3u(t - tau) grow at ln(3/2)/tau
+    # up to O(1/tau^2); at a*tau = 2e10, z overflows and W0 comes from log z
+    c = TaylorCoefficients(xi_x=-2.0, xi_y=-3.0, tau=tau)
+    rep = rate_of_convergence(c)
+    assert rep.regime is Regime.UNSTABLE
+    assert rep.sigma3 == pytest.approx(-math.log(1.5) / tau, rel=1e-6)
+
+
+@given(log_b=st.floats(-300.0, 300.0), eps=st.floats(0.0, 1.0, exclude_max=True),
+       log_eta=st.floats(-3.0, 3.0), ratio=st.floats(0.2, 5.0))
+@settings(max_examples=300, deadline=None)
+def test_regime_is_unstable_exactly_where_the_verdict_is_not_stable(
+        log_b, eps, log_eta, ratio):
+    # ratio places eta*tau against the limit arccos(-a/b)/sqrt(b^2 - a^2)
+    b, eta = 10.0 ** log_b, 10.0 ** log_eta
+    c = TaylorCoefficients(xi_x=-eps * b, xi_y=-b)
+    theta, s = _stability_limit(c.a, c.b)
+    tau = ratio * theta / s / eta
+    assume(math.isfinite(tau))
+    c = replace(c, tau=tau)
+    regime = classify_regime(c, eta)
+    assert (regime is Regime.UNSTABLE) == (stability_verdict(c, eta) != "stable")
+    if abs(ratio - 1.0) > 1e-9:
+        assert rate_of_convergence(c, eta).regime is regime
