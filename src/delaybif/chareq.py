@@ -154,7 +154,10 @@ def stability_verdict(coeffs: TaylorCoefficients, eta: float) -> str:
     if coeffs.tau <= 0.0:
         raise InvalidSpec("stability verdict needs tau > 0")
     rhs, s = _stability_limit(a, b)
-    lhs = eta * coeffs.tau * s
+    # smallest times largest first: that product can only overflow or
+    # underflow where eta*tau*s itself does
+    lo, mid, hi = sorted((eta, coeffs.tau, s))
+    lhs = lo * hi * mid
     if lhs < rhs:
         return "stable"
     if lhs == rhs:
@@ -190,13 +193,13 @@ _BRANCH_SERIES = (-1.0, 1.0, -1 / 3, 11 / 72, -43 / 540, 769 / 17280,
 
 
 def _lambert_w0(z: float, log_z: complex | None = None) -> complex:
-    """Principal branch W0 of w e^w = z for real z; Im w > 0 below -1/e.
+    """Principal branch W0 of w e^w = z for real z < 1/e; Im w > 0 below -1/e.
 
     Near -1/e and near 0, Halley iteration on w e^w - z from the starts of
     Corless et al. (1996): the series in p, returned as is for |p| < 0.01
     where Halley's division by w + 1 would only add noise, and log(1 + z).
     Elsewhere Newton on w + log w = L from L - log L, where L is log_z if
-    given, else log z; so z may be inf where only its logarithm is finite.
+    given, else log z; so z may be -inf where only its logarithm is finite.
     """
     d = (z + _INV_E) + _INV_E_LO
     log_target = None
@@ -207,7 +210,7 @@ def _lambert_w0(z: float, log_z: complex | None = None) -> complex:
             w = w * p + c
         if abs(p) < 0.01:
             return w
-    elif d > 0.0 and z <= 3.0:
+    elif d > 0.0:
         w = complex(math.log1p(z))
     else:
         log_target = cmath.log(z) if log_z is None else log_z

@@ -187,5 +187,8 @@ def sweep_tau(coeffs: TaylorCoefficients, tau_grid, eta: float = 1.0):
     Returns a list of (tau, ConvergenceReport) pairs; the coefficient set is
     reused with only the delay replaced.
     """
-    return [(float(tau), rate_of_convergence(dataclasses.replace(coeffs, tau=float(tau)), eta))
-            for tau in tau_grid]
+    out = []
+    for tau in tau_grid:
+        c = dataclasses.replace(coeffs, tau=float(tau))
+        out.append((float(tau), rate_of_convergence(c, eta)))
+    return out

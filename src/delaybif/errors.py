@@ -18,7 +18,11 @@ class InvariantViolation(DelayBifError):
 
 
 class DegenerateLinearization(DelayBifError):
-    """The linearization is outside the analyzable cone 0 <= a < b."""
+    """The linearization is outside the analyzable cone 0 <= a < b.
+
+    No longer raised: ``TaylorCoefficients`` enforces the cone when it is
+    built (``InvariantViolation``).  Kept so that code catching it still imports.
+    """
 
 
 class DegenerateEpsilon(DelayBifError):

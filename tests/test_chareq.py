@@ -13,7 +13,6 @@ import pytest
 
 from delaybif import (
     ComplexRoot,
-    DegenerateLinearization,
     HopfPoint,
     InvalidSpec,
     NoConvergence,
@@ -355,20 +354,18 @@ def test_lambert_w0_at_the_branch_point():
 
 @pytest.mark.parametrize("log_abs_z", [700.0, 1e5, 1e100, 1e300])
 def test_lambert_w0_logarithmic_form(log_abs_z):
-    # z itself overflows; w + log w = log z must hold, on both half-lines,
-    # with the value from above the cut on the negative one (Im w rounds to
-    # pi once |w| passes 1e16)
-    for z, log_z in ((math.inf, complex(log_abs_z)),
-                     (-math.inf, complex(log_abs_z, math.pi))):
-        w = _lambert_w0(z, log_z)
-        assert abs(w + cmath.log(w) - log_z) <= 4e-16 * abs(log_z)
-        assert (0.0 < w.imag <= math.pi) if z < 0.0 else (w.imag == 0.0)
+    # z itself overflows to -inf; w + log w = log z must hold, with the
+    # value from above the cut (Im w rounds to pi once |w| passes 1e16)
+    log_z = complex(log_abs_z, math.pi)
+    w = _lambert_w0(-math.inf, log_z)
+    assert abs(w + cmath.log(w) - log_z) <= 4e-16 * abs(log_z)
+    assert 0.0 < w.imag <= math.pi
 
 
 def test_lambert_w0_at_the_largest_floats():
     # an OverflowError here would leave a model unanswered; an overflowing
     # z passed by its logarithm must give the same value
-    for z in (1e308, -1e308, 1.7e308, -1.7e308):
+    for z in (-1e308, -1.7e308):
         w = _lambert_w0(z)
         assert abs(w + cmath.log(w) - cmath.log(z)) <= 1e-15 * abs(cmath.log(z))
-        assert _lambert_w0(math.copysign(math.inf, z), cmath.log(z)) == w
+        assert _lambert_w0(-math.inf, cmath.log(z)) == w

@@ -5,6 +5,7 @@ numerically located rightmost characteristic root: -sigma must equal its
 real part.
 """
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -331,19 +332,40 @@ def test_growth_bound_at_large_delay(tau):
     assert rep.sigma3 == pytest.approx(-math.log(1.5) / tau, rel=1e-6)
 
 
-@given(log_b=st.floats(-300.0, 300.0), eps=st.floats(0.0, 1.0, exclude_max=True),
-       log_eta=st.floats(-3.0, 3.0), ratio=st.floats(0.2, 5.0))
+@pytest.mark.parametrize("a_over_b, b, eta, regime", [
+    (0.0, 1e-310, 1e9, Regime.NON_OSCILLATORY_STABLE),
+    (1.0 - 1e-15, 1e-305, 1e10, Regime.OSCILLATORY_STABLE),
+])
+def test_verdict_survives_an_overflowing_eta_tau(a_over_b, b, eta, regime):
+    # eta*tau overflows while eta*tau*sqrt(b^2 - a^2) is 0.1 and 4.5e-3,
+    # far below the limit arccos(-a/b) >= pi/2
+    c = TaylorCoefficients(xi_x=-a_over_b * b, xi_y=-b, tau=1e300)
+    assert stability_verdict(c, eta) == "stable"
+    assert classify_regime(c, eta) is regime
+    rep = rate_of_convergence(c, eta)
+    assert rep.regime is regime and rep.sigma > 0.0
+
+
+@given(log_b=st.floats(-320.0, 300.0) | st.floats(-320.0, -290.0),
+       eps=st.floats(0.0, 1.0, exclude_max=True),
+       log_eta=st.floats(-300.0, 300.0), ratio=st.floats(0.2, 5.0))
 @settings(max_examples=300, deadline=None)
 def test_regime_is_unstable_exactly_where_the_verdict_is_not_stable(
         log_b, eps, log_eta, ratio):
-    # ratio places eta*tau against the limit arccos(-a/b)/sqrt(b^2 - a^2)
+    # ratio places eta*tau*sqrt(b^2 - a^2) against the limit arccos(-a/b);
+    # tau is built in logarithms, so eta*tau may exceed the float range,
+    # which the second draw of tiny b makes common
     b, eta = 10.0 ** log_b, 10.0 ** log_eta
+    assume(sys.float_info.min <= eta * b < math.inf and eps * b < b)
     c = TaylorCoefficients(xi_x=-eps * b, xi_y=-b)
     theta, s = _stability_limit(c.a, c.b)
-    tau = ratio * theta / s / eta
-    assume(math.isfinite(tau))
-    c = replace(c, tau=tau)
+    assume(s > 0.0)
+    log_tau = math.log(ratio * theta) - math.log(s) - math.log(eta)
+    assume(log_tau < math.log(sys.float_info.max))
+    c = replace(c, tau=math.exp(log_tau))
+    assume(c.tau > 0.0)
     regime = classify_regime(c, eta)
     assert (regime is Regime.UNSTABLE) == (stability_verdict(c, eta) != "stable")
     if abs(ratio - 1.0) > 1e-9:
+        assert (regime is Regime.UNSTABLE) == (ratio > 1.0)
         assert rate_of_convergence(c, eta).regime is regime
