@@ -153,11 +153,11 @@ def stability_verdict(coeffs: TaylorCoefficients, eta: float) -> str:
     _require_gain(eta)
     if coeffs.tau <= 0.0:
         raise InvalidSpec("stability verdict needs tau > 0")
-    rhs, s = _stability_limit(a, b)
-    # smallest times largest first: that product can only overflow or
-    # underflow where eta*tau*s itself does
-    lo, mid, hi = sorted((eta, coeffs.tau, s))
-    lhs = lo * hi * mid
+    rhs, _ = _stability_limit(a, b)
+    # b and r = s/b enter apart, since a subnormal s = b*r has lost digits;
+    # smallest times largest first, eta*tau*b over- or underflows only where it does
+    lo, mid, hi = sorted((eta, coeffs.tau, b))
+    lhs = lo * hi * mid * math.sqrt((b - a) / b * (1.0 + a / b))
     if lhs < rhs:
         return "stable"
     if lhs == rhs:

@@ -325,11 +325,11 @@ def _cmd_simulate(cp, outdir: str, fmt: str) -> int:
     except Divergence as exc:
         traj, failure = exc.trajectory, exc
     m = metrics(traj)
-    outputs = [
-        _write_csv(outdir, "trajectory.csv", ["t", "x"],
-                   zip(traj.times.tolist(), traj.values.tolist())),
-        _write_json(outdir, "metrics.json", m),
-    ]
+    # the bytes csv.writer gave, floats by their repr, joined in one pass
+    rows = zip(traj.times.tolist(), traj.values.tolist())
+    with open(os.path.join(outdir, "trajectory.csv"), "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("t,x\n" + "".join([f"{t!r},{x!r}\n" for t, x in rows]))
+    outputs = ["trajectory.csv", _write_json(outdir, "metrics.json", m)]
     _write_manifest(outdir, "simulate", cp, outputs)
     if failure is not None:
         sys.stderr.write(f"error: {failure}\n")

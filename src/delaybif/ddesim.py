@@ -123,8 +123,8 @@ def integrate(spec: ModelSpec, config: SimConfig) -> Trajectory:
     node i-m+1 of the stored history, stages k2 and k3 the midpoint of
     [i-m, i-m+1], where the cubic Hermite interpolant through the samples
     and their derivatives is 0.5*(x_j + x_j+1) + dt/8*(f_j - f_j+1).
-    Every stage calls the model's field spec.field(config.eta), bound once
-    per run.  History on [-tau, 0] is the constant config.x_init.
+    The loop is spec.rk4, one call per run: the model's compiled kernel,
+    eta * f inlined at every stage.  History on [-tau, 0] is config.x_init.
 
     Raises
     ------
@@ -151,46 +151,14 @@ def integrate(spec: ModelSpec, config: SimConfig) -> Trajectory:
         raise InvalidSpec(
             f"t_end = {config.t_end:.6g} too short: t_end >= 50*tau = "
             f"{50.0 * tau:.6g} required")
-    f = spec.field(config.eta)
     n = int(round(config.t_end / dt))
-    x0 = float(config.x_init)
-    xs = [x0] * (n + 1)
-    fs = [0.0] * (n + 1)
-    half = 0.5 * dt
-    sixth = dt / 6.0
-    eighth = 0.125 * dt
-    i = 0
-    try:
-        fs[0] = f(x0, x0)
-        for i in range(n):
-            j = i - m
-            if j < 0:
-                # both delayed reads still fall in the constant history
-                x_mid = x_node = x0
-            else:
-                x_node = xs[j + 1]
-                x_mid = 0.5 * (xs[j] + x_node) + eighth * (fs[j] - fs[j + 1])
-            x = xs[i]
-            k1 = fs[i]
-            k2 = f(x + half * k1, x_mid)
-            k3 = f(x + half * k2, x_mid)
-            k4 = f(x + dt * k3, x_node)
-            xn = x + sixth * (k1 + 2.0 * (k2 + k3) + k4)
-            if not (abs(xn) <= DIVERGENCE_THRESHOLD):
-                break
-            xs[i + 1] = xn
-            fs[i + 1] = f(xn, x_node)
-        else:
-            return Trajectory(times=np.arange(n + 1, dtype=float) * dt,
-                              values=np.array(xs), model=spec, config=config)
-    except OverflowError:
-        # a math.exp stage that overflows has left the guard band as well;
-        # products of floats give inf instead and fail the guard band test
-        pass
-    partial = Trajectory(times=np.arange(i + 1, dtype=float) * dt,
-                         values=np.array(xs[:i + 1]), model=spec, config=config)
-    raise Divergence(f"|x| exceeded {DIVERGENCE_THRESHOLD:.0e} at t = "
-                     f"{(i + 1) * dt:.6g}", trajectory=partial)
+    xs, i = spec.rk4(float(config.x_init), n, m, dt, config.eta, DIVERGENCE_THRESHOLD)
+    traj = Trajectory(times=np.arange(i + 1, dtype=float) * dt,
+                      values=np.array(xs[:i + 1]), model=spec, config=config)
+    if i < n:
+        raise Divergence(f"|x| exceeded {DIVERGENCE_THRESHOLD:.0e} at t = "
+                         f"{(i + 1) * dt:.6g}", trajectory=traj)
+    return traj
 
 
 def _refined_peaks(t: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -249,13 +217,10 @@ def metrics(traj: Trajectory) -> LimitCycleMetrics:
     """
     vals = traj.values
     finite = np.isfinite(vals) & (np.abs(vals) <= DIVERGENCE_THRESHOLD)
-    if not finite.all():
-        stop = int(np.argmin(finite))
+    stop = len(vals) if finite.all() else int(np.argmin(finite))
+    if stop < len(vals) or len(vals) < int(round(traj.config.t_end / traj.dt)) + 1:
         prefix = vals[:stop]
         amp = 0.5 * float(prefix.max() - prefix.min()) if stop > 1 else 0.0
-        return LimitCycleMetrics(Verdict.DIVERGED, amp, math.nan, math.nan)
-    if len(vals) < int(round(traj.config.t_end / traj.dt)) + 1:
-        amp = 0.5 * float(vals.max() - vals.min()) if len(vals) > 1 else 0.0
         return LimitCycleMetrics(Verdict.DIVERGED, amp, math.nan, math.nan)
     x_e = equilibrium(traj.model).x_e
     scale = max(1.0, abs(x_e))

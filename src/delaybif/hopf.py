@@ -18,10 +18,11 @@ from __future__ import annotations
 import cmath
 import enum
 import math
+import sys
 from dataclasses import dataclass
 
 from .chareq import HopfPoint
-from .errors import DegenerateEpsilon, ZeroDenominator
+from .errors import DegenerateEpsilon, InvalidSpec, ZeroDenominator
 from .models import Nicholson, TaylorCoefficients
 
 __all__ = [
@@ -91,6 +92,13 @@ def _eps_parts(epsilon: float) -> tuple[float, float]:
     return math.sqrt(1.0 - epsilon * epsilon), math.acos(-epsilon)
 
 
+def _normal(mu2: float, exact_zero: bool = False) -> float:
+    """mu2 if finite and normal, or zero or subnormal with exact_zero."""
+    if abs(mu2) < math.inf and (abs(mu2) >= sys.float_info.min or exact_zero):
+        return mu2
+    raise InvalidSpec(f"mu2 = {mu2!r} is outside the normal float range")
+
+
 def mu2_closed_form(coeffs: TaylorCoefficients) -> float:
     """First Lyapunov coefficient from the closed-form expression.
 
@@ -114,6 +122,8 @@ def mu2_closed_form(coeffs: TaylorCoefficients) -> float:
     ------
     DegenerateEpsilon
         If epsilon lies outside [0, 1).
+    InvalidSpec
+        If mu2 leaves the normal float range, as it can at extreme b.
     """
     b = coeffs.b
     e = coeffs.epsilon
@@ -139,8 +149,8 @@ def mu2_closed_form(coeffs: TaylorCoefficients) -> float:
         + xxy * (3 * ck * e + ht * (1 + 2 * e * e))
         + yyy * (3 * ck * e + 3 * ht)
     )
-    return (quad / (b * b * (1 + e) * (1 - e * e) * ht * (5 - 4 * e))
-            + cub / (b * (1 - e * e) * ht))
+    return _normal(quad / b / (b * (1 + e) * (1 - e * e) * ht * (5 - 4 * e))
+                   + cub / (b * (1 - e * e) * ht), not any(coeffs.as_tuple()[2:9]))
 
 
 def mu2_center_manifold(coeffs: TaylorCoefficients,
@@ -173,6 +183,8 @@ def mu2_center_manifold(coeffs: TaylorCoefficients,
         If epsilon lies outside [0, 1).
     ZeroDenominator
         If xi_x + xi_y = 0, which collapses the correction constant F.
+    InvalidSpec
+        If mu2 leaves the normal float range.
     """
     _eps_parts(coeffs.epsilon)
     xi_x, xi_y = coeffs.xi_x, coeffs.xi_y
@@ -218,10 +230,10 @@ def mu2_center_manifold(coeffs: TaylorCoefficients,
         + 6 * xi_yyy * B
     )
     c1 = ((1j / (2 * w0))
-          * (g20 * g11 - 2 * abs(g11) ** 2 - abs(g02) ** 2 / 3.0)
+          * (g20 * g11 - 2 * abs(g11) * abs(g11) - abs(g02) * abs(g02) / 3.0)
           + g21 / 2.0)
     alpha_prime = hopf.alpha_prime
-    mu2 = -c1.real / alpha_prime
+    mu2 = _normal(-c1.real / alpha_prime, not any(coeffs.as_tuple()[2:9]))
     beta2 = 2.0 * c1.real
     direction, cycle_stability = _classify_values(mu2, beta2)
     return LyapunovReport(mu2=mu2, beta2=beta2, c1_0=c1,
@@ -256,15 +268,13 @@ def mu2_cubic_specialization(coeffs: TaylorCoefficients) -> float:
     Equals (xi_xx^2 / b^2) g_tilde(eps) + (xi_xxx / b) h_tilde(eps), and
     matches mu2_closed_form on such sets.
     """
-    b = coeffs.b
-    return ((coeffs.xi_xx ** 2 / (b * b)) * g_tilde(coeffs.epsilon)
-            + (coeffs.xi_xxx / b) * h_tilde(coeffs.epsilon))
+    b, e, xx, xxx = coeffs.b, coeffs.epsilon, coeffs.xi_xx, coeffs.xi_xxx
+    return _normal(xx * xx / b / b * g_tilde(e) + xxx / b * h_tilde(e), xx == xxx == 0.0)
 
 
 def mu2_quadratic_specialization(coeffs: TaylorCoefficients) -> float:
     """mu2 for unit quadratic self-coupling: g_tilde(eps)/b^2, always < 0."""
-    b = coeffs.b
-    return g_tilde(coeffs.epsilon) / (b * b)
+    return _normal(g_tilde(coeffs.epsilon) / coeffs.b / coeffs.b)
 
 
 def nicholson_mu2_shape(epsilon: float, x0_size: float = 1.0) -> float:

@@ -9,6 +9,7 @@ about the equilibrium, collected in :class:`TaylorCoefficients`.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -99,18 +100,83 @@ class EquilibriumReport:
 class ModelSpec:
     """Base of every model variant: the one place a model's maths lives.
 
-    A variant supplies ``variant`` (its name in configs), ``tau``, and the
-    methods ``equilibrium()``, ``taylor_coefficients()`` and ``field(eta)``.
-    ``field(eta)`` returns a closure ``f(x, x_delayed)`` that evaluates eta
-    times the model's right-hand side with the constants and eta bound as
-    locals, so a simulation looks nothing up per step; ``rhs(x, x_delayed,
-    eta)`` evaluates it once.  The module-level functions of the same names
-    check for a ModelSpec once and delegate.
+    A variant supplies ``variant`` (its name in configs), ``tau``,
+    ``equilibrium()``, ``taylor_coefficients()`` and the class attribute
+    ``expression``: Python source for f(x, y) without the gain, in the state
+    ``x``, the delayed state ``y``, ``exp`` and named constants, none named
+    ``eta`` or starting with "_".  ``constants()`` gives their values, by
+    default the model's attributes of those names.  Compiled once per class,
+    the expression gives ``field(eta)``, the closure ``f(x, x_delayed)`` of
+    eta times f, and the RK4 kernel run by ``rk4``, with f inlined at every
+    stage; eta and the constants are arguments, never source.  Module-level
+    functions of the same names check for a ModelSpec once and delegate.
     """
+
+    expression: str
+
+    def constants(self) -> dict:
+        return {name: getattr(self, name) for name in _compiled(type(self))[0]}
+
+    def field(self, eta: float):
+        return _compiled(type(self))[1](eta, **self.constants())
+
+    def rk4(self, x0: float, n: int, m: int, dt: float, eta: float, limit: float):
+        """(samples, last good index) of ddesim.integrate's n RK4 steps."""
+        return _compiled(type(self))[2](x0, n, m, dt, eta, limit, **self.constants())
 
     def rhs(self, x: float, x_delayed: float, eta: float) -> float:
         """eta * f(x, x_delayed), through a field bound for this one call."""
         return self.field(eta)(x, x_delayed)
+
+
+# the field and the integrator loop of ddesim.integrate, with eta * f
+# inlined wherever {f} stands; every kernel local but x and y starts with _
+_TEMPLATE = """\
+def field(eta, *, {params}exp=exp):
+    return lambda x, y: eta * ({f})
+
+def kernel(_x0, _n, _m, _dt, eta, _limit, *, {params}exp=exp):
+    _xs, _fs = [_x0] * (_n + 1), [0.0] * (_n + 1)
+    _half, _sixth, _eighth = 0.5 * _dt, _dt / 6.0, 0.125 * _dt
+    x = y = _x = _x0
+    _i = 0
+    try:
+        _k1 = _fs[0] = eta * ({f})
+        for _i in range(_n):
+            _j = _i - _m
+            if _j < 0:  # both delayed reads fall in the constant history
+                y = _y_node = _x0
+            else:
+                _y_node = _xs[_j + 1]
+                y = 0.5 * (_xs[_j] + _y_node) + _eighth * (_fs[_j] - _fs[_j + 1])
+            x = _x + _half * _k1
+            _k2 = eta * ({f})
+            x = _x + _half * _k2
+            _k3 = eta * ({f})
+            x = _x + _dt * _k3
+            y = _y_node
+            _k4 = eta * ({f})
+            x = _x + _sixth * (_k1 + 2.0 * (_k2 + _k3) + _k4)
+            if not abs(x) <= _limit:
+                return _xs, _i
+            _x = _xs[_i + 1] = x
+            _k1 = _fs[_i + 1] = eta * ({f})
+    except OverflowError:  # exp raises where a product gives inf, caught by the band
+        return _xs, _i
+    return _xs, _n
+"""
+
+
+@functools.cache
+def _compiled(cls) -> tuple:
+    """(constant names, field, kernel) of a model class."""
+    names = compile(cls.expression, f"<{cls.__name__}.expression>", "eval").co_names
+    params = tuple(name for name in dict.fromkeys(names) if name not in ("x", "y", "exp"))
+    if any(name == "eta" or name.startswith("_") for name in params):
+        raise InvalidSpec(f"{cls.__name__}.expression names a reserved constant: {params}")
+    scope = {"exp": math.exp}
+    exec(_TEMPLATE.format(f=cls.expression, params="".join(p + ", " for p in params)), scope)
+    return params, scope["field"], scope["kernel"]
 
 
 @dataclass(frozen=True)
@@ -139,6 +205,7 @@ class CubicBD(_DelayedPolynomial):
     """
 
     variant = "cubic"
+    expression = "-(x * x * x - mu * x + lam) - k * y"
 
     def equilibrium(self) -> EquilibriumReport:
         # x^3 + (k - mu) x + lam is strictly increasing because k > mu, so
@@ -178,13 +245,6 @@ class CubicBD(_DelayedPolynomial):
             tau=self.tau,
         )
 
-    def field(self, eta: float):
-        mu, lam, k = self.mu, self.lam, self.k
-
-        def f(x: float, x_delayed: float) -> float:
-            return eta * (-(x * x * x - mu * x + lam) - k * x_delayed)
-        return f
-
 
 @dataclass(frozen=True)
 class QuadraticBD(_DelayedPolynomial):
@@ -196,6 +256,7 @@ class QuadraticBD(_DelayedPolynomial):
     """
 
     variant = "quadratic"
+    expression = "-(x * x - mu * x + lam) - k * y"
 
     def equilibrium(self) -> EquilibriumReport:
         for x in quadratic_roots(self):
@@ -216,13 +277,6 @@ class QuadraticBD(_DelayedPolynomial):
             tau=self.tau,
         )
 
-    def field(self, eta: float):
-        mu, lam, k = self.mu, self.lam, self.k
-
-        def f(x: float, x_delayed: float) -> float:
-            return eta * (-(x * x - mu * x + lam) - k * x_delayed)
-        return f
-
 
 @dataclass(frozen=True)
 class Nicholson(ModelSpec):
@@ -237,6 +291,7 @@ class Nicholson(ModelSpec):
     tau: float
 
     variant = "nicholson"
+    expression = "-gamma * x + p_rate * y * exp(-y / x0_size)"
 
     def __post_init__(self):
         if self.gamma <= 0.0 or self.p_rate <= 0.0 or self.x0_size <= 0.0:
@@ -263,13 +318,6 @@ class Nicholson(ModelSpec):
             tau=self.tau,
         )
 
-    def field(self, eta: float):
-        gamma, p_rate, x0_size, exp = self.gamma, self.p_rate, self.x0_size, math.exp
-
-        def f(x: float, x_delayed: float) -> float:
-            return eta * (-gamma * x + p_rate * x_delayed * exp(-x_delayed / x0_size))
-        return f
-
 
 @dataclass(frozen=True)
 class Generic(ModelSpec):
@@ -283,6 +331,9 @@ class Generic(ModelSpec):
     coeffs: TaylorCoefficients
 
     variant = "generic"
+    # the Taylor polynomial in Horner form: its x-only, y-only and mixed terms
+    expression = ("x * (xi_x + x * (xi_xx + xi_xxx * x)) + y * (xi_y + y * (xi_yy + xi_yyy * y))"
+                  " + x * y * (xi_xy + xi_xxy * x + xi_xyy * y)")
 
     @property
     def tau(self) -> float:
@@ -294,15 +345,8 @@ class Generic(ModelSpec):
     def taylor_coefficients(self) -> TaylorCoefficients:
         return self.coeffs
 
-    def field(self, eta: float):
-        x1, y1, xx, xy, yy, xxx, xxy, xyy, yyy, _ = self.coeffs.as_tuple()
-
-        def f(u: float, v: float) -> float:
-            # the Taylor polynomial in Horner form: its u-only, v-only and
-            # mixed terms
-            return eta * (u * (x1 + u * (xx + xxx * u)) + v * (y1 + v * (yy + yyy * v))
-                          + u * v * (xy + xxy * u + xyy * v))
-        return f
+    def constants(self) -> dict:
+        return {name: value for name, value in vars(self.coeffs).items() if name != "tau"}
 
 
 def quadratic_roots(spec: QuadraticBD) -> tuple[float, float]:
@@ -341,10 +385,6 @@ def equilibrium(spec: ModelSpec) -> EquilibriumReport:
 
 def taylor_coefficients(spec: ModelSpec) -> TaylorCoefficients:
     """Expand the model about its equilibrium.
-
-    Parameters
-    ----------
-    spec : ModelSpec
 
     Returns
     -------

@@ -367,6 +367,19 @@ def test_invalid_model_maps_to_exit_3(tmp_path, capsys):
     assert "k > mu required" in err
 
 
+@pytest.mark.parametrize("coeffs", [
+    "xi_x = 0\nxi_y = -1e-170\nxi_xx = 1\ntau = 1\n",
+    "xi_x = -2e199\nxi_y = -1e200\nxi_xx = 1\ntau = 1.5e-200\n",
+], ids=["tiny-b", "huge-b"])
+def test_analyze_mu2_outside_the_float_range_exits_3(tmp_path, capsys, coeffs):
+    ini = "[model]\nvariant = generic\n" + coeffs
+    code, stdout, err, out = _run(tmp_path, capsys, "analyze", ini=ini)
+    assert code == 3
+    assert err.startswith("error: mu2")
+    assert stdout == ""
+    assert not (out / "analyze.json").exists()
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

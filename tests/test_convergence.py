@@ -346,6 +346,16 @@ def test_verdict_survives_an_overflowing_eta_tau(a_over_b, b, eta, regime):
     assert rep.regime is regime and rep.sigma > 0.0
 
 
+def test_verdict_keeps_its_digits_at_subnormal_b():
+    # s = b*sqrt(1 - e^2) = 8.7e-320 is subnormal and rounds by 2e-5; the
+    # 60-digit ratio eta*tau*s/arccos(-e) is 1.0000102, so the model is
+    # unstable, as the decay rate says (sigma*tau = -4.8e-6)
+    c = TaylorCoefficients(xi_x=-5e-320, xi_y=-1e-319, tau=2.4184507584282245e307)
+    assert stability_verdict(c, 1e12) == "unstable"
+    assert classify_regime(c, 1e12) is Regime.UNSTABLE
+    assert rate_of_convergence(c, 1e12).regime is Regime.UNSTABLE
+
+
 @given(log_b=st.floats(-320.0, 300.0) | st.floats(-320.0, -290.0),
        eps=st.floats(0.0, 1.0, exclude_max=True),
        log_eta=st.floats(-300.0, 300.0), ratio=st.floats(0.2, 5.0))
@@ -358,9 +368,12 @@ def test_regime_is_unstable_exactly_where_the_verdict_is_not_stable(
     b, eta = 10.0 ** log_b, 10.0 ** log_eta
     assume(sys.float_info.min <= eta * b < math.inf and eps * b < b)
     c = TaylorCoefficients(xi_x=-eps * b, xi_y=-b)
-    theta, s = _stability_limit(c.a, c.b)
+    # a subnormal s = b*r has lost digits: take s at a and b scaled up by
+    # 2^k, which is exact, and divide the scale out in the logarithm
+    k = max(0, -math.frexp(c.b)[1])
+    theta, s = _stability_limit(math.ldexp(c.a, k), math.ldexp(c.b, k))
     assume(s > 0.0)
-    log_tau = math.log(ratio * theta) - math.log(s) - math.log(eta)
+    log_tau = math.log(ratio * theta) - math.log(s) + k * math.log(2.0) - math.log(eta)
     assume(log_tau < math.log(sys.float_info.max))
     c = replace(c, tau=math.exp(log_tau))
     assume(c.tau > 0.0)

@@ -18,6 +18,7 @@ from delaybif import (
     CycleStability,
     DegenerateEpsilon,
     Direction,
+    InvalidSpec,
     Nicholson,
     QuadraticBD,
     TaylorCoefficients,
@@ -180,6 +181,33 @@ def test_pure_cubic_damping_always_supercritical(eps, b):
     # xi_xxx < 0 with no quadratic term flips the sign of h_tilde < 0
     c = TaylorCoefficients(xi_x=-eps * b, xi_y=-b, xi_xxx=-1.0, tau=1.0)
     assert mu2_cubic_specialization(c) > 0.0
+
+
+# --- float range -----------------------------------------------------------
+
+# b*b underflows to 0 at the first set and overflows at the second
+_B_UNDERFLOW = TaylorCoefficients(xi_x=0.0, xi_y=-1e-170, xi_xx=1.0, tau=1.0)
+_B_OVERFLOW = TaylorCoefficients(xi_x=-2e199, xi_y=-1e200, xi_xx=1.0, tau=1.5e-200)
+
+
+@pytest.mark.parametrize("coeffs", [_B_UNDERFLOW, _B_OVERFLOW],
+                         ids=["tiny-b", "huge-b"])
+@pytest.mark.parametrize("route", [
+    mu2_closed_form, mu2_cubic_specialization, mu2_quadratic_specialization,
+    lambda c: mu2_center_manifold(c, critical_eta(c)),
+], ids=["closed-form", "cubic", "quadratic", "center-manifold"])
+def test_mu2_outside_the_float_range_is_invalid(route, coeffs):
+    # neither a bare ZeroDivisionError or OverflowError, nor a 0 that
+    # would read as Degenerate
+    with pytest.raises(InvalidSpec):
+        route(coeffs)
+
+
+def test_linear_set_keeps_its_exact_zero_mu2():
+    c = TaylorCoefficients(xi_x=-0.5, xi_y=-2.0, tau=1.0)
+    assert mu2_closed_form(c) == 0.0
+    assert mu2_cubic_specialization(c) == 0.0
+    assert mu2_center_manifold(c, critical_eta(c)).mu2 == 0.0
 
 
 # --- exponential birth-rate model ------------------------------------------

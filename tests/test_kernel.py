@@ -1,0 +1,222 @@
+"""The compiled RK4 kernel behind integrate, and the expression contract.
+
+integrate runs one loop per model class, compiled from the model's
+expression with eta * f inlined at every stage.  It is pinned bit for bit
+to the loop it replaced, which called the closure spec.field(eta) at every
+stage; that loop is kept here as the oracle.
+"""
+import random
+import sys
+from dataclasses import dataclass
+
+import numpy as np
+import pytest
+
+from delaybif import (
+    CubicBD,
+    Divergence,
+    EquilibriumReport,
+    Generic,
+    InvalidSpec,
+    ModelSpec,
+    Nicholson,
+    QuadraticBD,
+    SimConfig,
+    TaylorCoefficients,
+    Verdict,
+    integrate,
+    metrics,
+    quadratic_roots,
+    rate_of_convergence,
+)
+
+from delaybif.ddesim import DIVERGENCE_THRESHOLD
+
+
+def _reference(spec, config):
+    """The closure-based loop integrate ran before the compiled kernel: the
+    samples up to the last good one."""
+    tau = spec.tau
+    dt = config.dt
+    m = round(tau / dt)
+    f = spec.field(config.eta)
+    n = int(round(config.t_end / dt))
+    x0 = float(config.x_init)
+    xs = [x0] * (n + 1)
+    fs = [0.0] * (n + 1)
+    half = 0.5 * dt
+    sixth = dt / 6.0
+    eighth = 0.125 * dt
+    i = 0
+    try:
+        fs[0] = f(x0, x0)
+        for i in range(n):
+            j = i - m
+            if j < 0:
+                x_mid = x_node = x0
+            else:
+                x_node = xs[j + 1]
+                x_mid = 0.5 * (xs[j] + x_node) + eighth * (fs[j] - fs[j + 1])
+            x = xs[i]
+            k1 = fs[i]
+            k2 = f(x + half * k1, x_mid)
+            k3 = f(x + half * k2, x_mid)
+            k4 = f(x + dt * k3, x_node)
+            xn = x + sixth * (k1 + 2.0 * (k2 + k3) + k4)
+            if not (abs(xn) <= DIVERGENCE_THRESHOLD):
+                break
+            xs[i + 1] = xn
+            fs[i + 1] = f(xn, x_node)
+        else:
+            return xs
+    except OverflowError:
+        pass
+    return xs[:i + 1]
+
+
+def _samples(spec, config):
+    try:
+        return integrate(spec, config).values
+    except Divergence as exc:
+        return exc.trajectory.values
+
+
+def _assert_bit_identical(spec, config):
+    want = np.array(_reference(spec, config))
+    got = _samples(spec, config)
+    assert len(got) == len(want)
+    assert got.tobytes() == want.tobytes()
+
+
+def _seeded(variant, rng):
+    """A random model of the variant, a gain and an initial value near its
+    equilibrium or, now and then, far enough out to diverge."""
+    tau = rng.uniform(0.2, 2.0)
+    if variant == "cubic":
+        k = rng.uniform(1.0, 10.0)
+        spec = CubicBD(k=k, mu=rng.uniform(-1.0, 0.9 * k), lam=rng.uniform(-8.0, 8.0), tau=tau)
+    elif variant == "quadratic":
+        k = rng.uniform(1.0, 10.0)
+        spec = QuadraticBD(k=k, mu=rng.uniform(-1.0, 0.9 * k), lam=rng.uniform(-8.0, 0.0), tau=tau)
+    elif variant == "nicholson":
+        gamma = rng.uniform(0.5, 2.0)
+        spec = Nicholson(gamma=gamma, p_rate=gamma * rng.uniform(3.0, 60.0),
+                         x0_size=rng.uniform(0.5, 2.0), tau=tau)
+    else:
+        b = rng.uniform(0.5, 3.0)
+        spec = Generic(TaylorCoefficients(
+            xi_x=-b * rng.uniform(0.0, 0.9), xi_y=-b,
+            **{name: rng.uniform(-1.0, 1.0) for name in
+               ("xi_xx", "xi_xy", "xi_yy", "xi_xxx", "xi_xxy", "xi_xyy", "xi_yyy")},
+            tau=tau))
+    x_e = quadratic_roots(spec)[0] if variant == "quadratic" else spec.equilibrium().x_e
+    spread = rng.choice((0.1, 1.0, 10.0))
+    return spec, rng.uniform(0.3, 2.0), x_e + rng.uniform(-spread, spread)
+
+
+@pytest.mark.parametrize("m", [20, 50, 100])
+@pytest.mark.parametrize("variant", ["cubic", "quadratic", "nicholson", "generic"])
+def test_kernel_is_bit_identical_to_closure_loop(variant, m):
+    rng = random.Random(f"{variant}-{m}")
+    for _ in range(4):
+        spec, eta, x_init = _seeded(variant, rng)
+        _assert_bit_identical(spec, SimConfig(eta=eta, x_init=x_init,
+                                              t_end=50.0 * spec.tau, dt=spec.tau / m))
+
+
+@pytest.mark.parametrize("spec, x_init", [
+    (CubicBD(k=9.0, mu=1.0, lam=-7.0, tau=0.187), 5e5),
+    (Nicholson(gamma=1.0, p_rate=50.0, x0_size=1.0, tau=1.0), -800.0),
+    (Generic(TaylorCoefficients(xi_x=0.0, xi_y=-1.0, xi_xx=5.0, tau=1.0)), 1.0),
+], ids=["cubic-overflow", "nicholson-overflow", "generic-guard-band"])
+@pytest.mark.parametrize("m", [20, 50, 100])
+def test_kernel_partial_trajectory_is_bit_identical(spec, x_init, m):
+    config = SimConfig(eta=1.0, x_init=x_init, t_end=50.0 * spec.tau, dt=spec.tau / m)
+    with pytest.raises(Divergence):
+        integrate(spec, config)
+    _assert_bit_identical(spec, config)
+
+
+@dataclass(frozen=True)
+class _Linear(ModelSpec):
+    """x' = eta * (-a x - b x(t - tau)), stated through the expression
+    contract alone."""
+
+    a: float
+    b: float
+    tau: float
+
+    variant = "linear"
+    expression = "-a * x - b * y"
+
+    def constants(self):
+        return {"a": self.a, "b": self.b}
+
+    def equilibrium(self):
+        return EquilibriumReport(x_e=0.0, residual=0.0)
+
+    def taylor_coefficients(self):
+        return TaylorCoefficients(xi_x=-self.a, xi_y=-self.b, tau=self.tau)
+
+
+_SPECS = [
+    CubicBD(k=9.0, mu=1.0, lam=-7.0, tau=0.187),
+    QuadraticBD(k=6.0, mu=1.0, lam=-7.0, tau=0.5),
+    Nicholson(gamma=1.0, p_rate=50.0, x0_size=1.0, tau=1.0),
+    Generic(TaylorCoefficients(xi_x=-0.5, xi_y=-2.0, xi_xx=0.3, xi_xy=-0.2,
+                               xi_yy=0.1, xi_xxx=-0.4, xi_xxy=0.05,
+                               xi_xyy=-0.06, xi_yyy=0.07, tau=2.0)),
+    _Linear(a=0.5, b=1.0, tau=1.0),
+]
+
+
+def _python_calls(spec, t_end):
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+
+    config = SimConfig(eta=0.5, x_init=spec.equilibrium().x_e + 0.1, t_end=t_end)
+    sys.setprofile(count)
+    try:
+        integrate(spec, config)
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+@pytest.mark.parametrize("spec", _SPECS, ids=lambda spec: spec.variant)
+def test_integrate_makes_no_python_call_per_step(spec):
+    _python_calls(spec, 50.0 * spec.tau)  # compiles the kernel of the class
+    calls = _python_calls(spec, 50.0 * spec.tau)
+    assert calls > 0
+    assert _python_calls(spec, 100.0 * spec.tau) == calls
+
+
+def test_linear_spec_decays_at_the_closed_form_rate():
+    spec = _Linear(a=0.5, b=1.0, tau=1.0)
+    assert spec.field(2.0)(0.3, -0.7) == 2.0 * (-0.5 * 0.3 - 1.0 * -0.7)
+    eta = 1.0
+    m = metrics(integrate(spec, SimConfig(eta=eta, x_init=1.0, t_end=60.0)))
+    assert m.verdict is Verdict.CONVERGED_TO_EQUILIBRIUM
+    sigma = rate_of_convergence(spec.taylor_coefficients(), eta).sigma
+    # the decay-rate gate of the sim-grid benchmark workload
+    assert abs(m.decay_rate - sigma) <= 0.05 * sigma
+
+
+@pytest.mark.parametrize("expression", ["-eta * x", "-_k1 * y"])
+def test_expression_may_not_name_reserved_constants(expression):
+    spec = type("Reserved", (_Linear,), {"expression": expression})(a=0.5, b=1.0, tau=1.0)
+    with pytest.raises(InvalidSpec):
+        spec.field(1.0)
+    with pytest.raises(InvalidSpec):
+        integrate(spec, SimConfig(eta=1.0, x_init=1.0, t_end=60.0))
+
+
+def test_constants_are_arguments_not_source():
+    # two models of one class share one compiled kernel
+    a = CubicBD(k=9.0, mu=1.0, lam=-7.0, tau=0.187)
+    b = CubicBD(k=4.75, mu=1.0, lam=-7.0, tau=1.0)
+    assert a.field(1.0).__code__ is b.field(2.0).__code__
+    assert a.field(1.0)(0.2, 0.1) == 1.0 * (-(0.2 * 0.2 * 0.2 - 1.0 * 0.2 + -7.0) - 9.0 * 0.1)
