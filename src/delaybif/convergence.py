@@ -44,9 +44,10 @@ class Regime(enum.Enum):
 class ConvergenceReport:
     """Decay rate of the linearized system and how it decomposes.
 
-    sigma is min of the finite candidates when the system is stable and 0
-    (with regime UNSTABLE) otherwise.  sigma2 is finite only below tau*,
-    sigma3 only above; u2 is the auxiliary angle behind sigma3.
+    sigma is min of the finite candidates when the system is stable (0
+    where that underflows) and 0 (with regime UNSTABLE) otherwise.  sigma2
+    is finite only below tau*, sigma3 only above; u2 is the auxiliary angle
+    behind sigma3.
     """
 
     sigma: float
@@ -120,9 +121,11 @@ def rate_of_convergence(coeffs: TaylorCoefficients, eta: float = 1.0) -> Converg
     and sigma = min over the finite ones.  sigma3 and u2 are polished by
     Newton on the characteristic equation, and where b tau e^(a tau)
     overflows W0 is found from its logarithm.  For eta != 1 the gain is
-    folded into the coefficients (a <- eta*a, b <- eta*b) first.  An
-    unstable configuration is reported as regime UNSTABLE with sigma = 0;
-    sigma3 is still filled in (it is then the negative growth-rate bound).
+    folded into the coefficients (a <- eta*a, b <- eta*b) first.  The
+    regime is classify_regime's.  An unstable configuration is reported as
+    regime UNSTABLE with sigma = 0; sigma3 is still filled in (it is then
+    the negative growth-rate bound).  A stable one whose decay rate is
+    below the smallest float keeps its stable regime, with sigma = 0.
 
     Raises
     ------
@@ -150,10 +153,9 @@ def rate_of_convergence(coeffs: TaylorCoefficients, eta: float = 1.0) -> Converg
         if abs(1.0 + w) > 1e-3 and b * tau < math.inf:
             nu = _polish(nu, b * tau, eta * (coeffs.b - coeffs.a) * tau)
         sigma2, sigma3, u2 = math.inf, nu.real / tau, math.pi - nu.imag
-    sigma = min(sigma1, sigma2, sigma3)
+    # the regime is decided exactly; a stable model's sigma may underflow to 0
     regime = classify_regime(coeffs, eta)
-    if regime is Regime.UNSTABLE or sigma <= 0.0:
-        sigma, regime = 0.0, Regime.UNSTABLE
+    sigma = 0.0 if regime is Regime.UNSTABLE else max(min(sigma1, sigma2, sigma3), 0.0)
     return ConvergenceReport(sigma=sigma, sigma1=sigma1, sigma2=sigma2, sigma3=sigma3,
                              tau_star=tau_star(coeffs, eta), u2=u2, regime=regime)
 

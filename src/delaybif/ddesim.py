@@ -5,13 +5,17 @@ fourth-order integrator, plus verdict extraction (equilibrium, limit cycle,
 divergence) from the resulting trajectory.  dt must divide tau; delayed
 values come from nodes and interval midpoints of the stored history, the
 midpoints by cubic Hermite interpolation.  Fixed stepping keeps runs
-bit-reproducible; there is no adaptive error control.
+bit-reproducible; there is no adaptive error control.  A run that settles
+on a bit-exact nonzero constant stops there and repeats it to the end:
+every later step would read exactly the values the last one read, so the
+samples are those of running every step.
 """
 from __future__ import annotations
 
 import dataclasses
 import enum
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -125,13 +129,21 @@ def integrate(spec: ModelSpec, config: SimConfig) -> Trajectory:
     and their derivatives is 0.5*(x_j + x_j+1) + dt/8*(f_j - f_j+1).
     The loop is spec.rk4, one call per run: the model's compiled kernel,
     eta * f inlined at every stage.  History on [-tau, 0] is config.x_init.
+    After each delay the kernel compares the newest 2m + 2 samples; step
+    i + 1 reads only samples i - 2m to i + 1 and values computed from them,
+    so if those are one nonzero bit pattern it reads what step i read and
+    returns the same sample, as does every step after it.  The kernel then
+    fills the remaining samples with that value and returns, which gives
+    the samples of running every step.  Zero is not a stop: 0.0 == -0.0,
+    but the two are written differently.
 
     Raises
     ------
     StepTooLarge
         If dt > tau/20.
     InvalidSpec
-        If dt does not divide tau, or t_end < 50*tau.
+        If dt does not divide tau, t_end < 50*tau, or the run has more
+        steps than a list can index (checked before anything is allocated).
     Divergence
         If |x| exceeds 1e6, or a stage overflows; the partial trajectory
         (finite prefix) is attached to the exception as .trajectory.
@@ -151,7 +163,12 @@ def integrate(spec: ModelSpec, config: SimConfig) -> Trajectory:
         raise InvalidSpec(
             f"t_end = {config.t_end:.6g} too short: t_end >= 50*tau = "
             f"{50.0 * tau:.6g} required")
-    n = int(round(config.t_end / dt))
+    steps = config.t_end / dt
+    if not steps < sys.maxsize:
+        raise InvalidSpec(
+            f"t_end = {config.t_end:.6g} takes {steps:.6g} steps of dt = {dt:.6g}: "
+            "more than a list can index")
+    n = int(round(steps))
     xs, i = spec.rk4(float(config.x_init), n, m, dt, config.eta, DIVERGENCE_THRESHOLD)
     traj = Trajectory(times=np.arange(i + 1, dtype=float) * dt,
                       values=np.array(xs[:i + 1]), model=spec, config=config)

@@ -18,12 +18,11 @@ from __future__ import annotations
 import cmath
 import enum
 import math
-import sys
 from dataclasses import dataclass
 
 from .chareq import HopfPoint
 from .errors import DegenerateEpsilon, InvalidSpec, ZeroDenominator
-from .models import Nicholson, TaylorCoefficients
+from .models import Nicholson, TaylorCoefficients, _normal
 
 __all__ = [
     "DEGENERACY_THRESHOLD",
@@ -90,13 +89,6 @@ def _eps_parts(epsilon: float) -> tuple[float, float]:
         raise DegenerateEpsilon(
             f"epsilon = a/b must lie in [0, 1), got {epsilon!r}")
     return math.sqrt(1.0 - epsilon * epsilon), math.acos(-epsilon)
-
-
-def _normal(mu2: float, exact_zero: bool = False) -> float:
-    """mu2 if finite and normal, or zero or subnormal with exact_zero."""
-    if abs(mu2) < math.inf and (abs(mu2) >= sys.float_info.min or exact_zero):
-        return mu2
-    raise InvalidSpec(f"mu2 = {mu2!r} is outside the normal float range")
 
 
 def mu2_closed_form(coeffs: TaylorCoefficients) -> float:
@@ -283,6 +275,11 @@ def nicholson_mu2_shape(epsilon: float, x0_size: float = 1.0) -> float:
     The fully simplified form, a function of epsilon alone up to the
     1/x0^2 prefactor that carries the population scale (and therefore
     never changes the sign).
+
+    Raises
+    ------
+    InvalidSpec
+        If x0_size squared, or mu2, is outside the normal float range.
     """
     eps = epsilon
     ck, ht = _eps_parts(eps)
@@ -291,7 +288,7 @@ def nicholson_mu2_shape(epsilon: float, x0_size: float = 1.0) -> float:
                 + ht * (-4 * eps**2 - 12 * eps + 22)))
     second = ((2 * eps - 1) / ((1 - eps * eps) * ht)
               * (3 * eps * ck + 3 * ht))
-    return (first + second) / x0_size ** 2
+    return _normal((first + second) / _normal(x0_size * x0_size, name="x0_size squared"))
 
 
 def nicholson_mu2(spec: Nicholson) -> float:

@@ -9,8 +9,10 @@ about the equilibrium, collected in :class:`TaylorCoefficients`.
 """
 from __future__ import annotations
 
+import ast
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import InvalidSpec, InvariantViolation, NoEquilibrium
@@ -108,8 +110,10 @@ class ModelSpec:
     default the model's attributes of those names.  Compiled once per class,
     the expression gives ``field(eta)``, the closure ``f(x, x_delayed)`` of
     eta times f, and the RK4 kernel run by ``rk4``, with f inlined at every
-    stage; eta and the constants are arguments, never source.  Module-level
-    functions of the same names check for a ModelSpec once and delegate.
+    stage, its delay-only terms evaluated once per delayed value, and a stop
+    where the run has settled on a bit-exact nonzero constant; eta and the
+    constants are arguments, never source.  Module-level functions of the
+    same names check for a ModelSpec once and delegate.
     """
 
     expression: str
@@ -130,10 +134,11 @@ class ModelSpec:
 
 
 # the field and the integrator loop of ddesim.integrate, with eta * f
-# inlined wherever {f} stands; every kernel local but x and y starts with _
+# inlined wherever {f} stands and its delay-only terms _d0, _d1, ... set by
+# {d} wherever y changes; every kernel local but x and y starts with _
 _TEMPLATE = """\
 def field(eta, *, {params}exp=exp):
-    return lambda x, y: eta * ({f})
+    return lambda x, y: eta * ({expression})
 
 def kernel(_x0, _n, _m, _dt, eta, _limit, *, {params}exp=exp):
     _xs, _fs = [_x0] * (_n + 1), [0.0] * (_n + 1)
@@ -141,30 +146,70 @@ def kernel(_x0, _n, _m, _dt, eta, _limit, *, {params}exp=exp):
     x = y = _x = _x0
     _i = 0
     try:
+        {d}
         _k1 = _fs[0] = eta * ({f})
-        for _i in range(_n):
-            _j = _i - _m
-            if _j < 0:  # both delayed reads fall in the constant history
-                y = _y_node = _x0
-            else:
-                _y_node = _xs[_j + 1]
-                y = 0.5 * (_xs[_j] + _y_node) + _eighth * (_fs[_j] - _fs[_j + 1])
+        # the first delay: every delayed read falls in the constant history
+        for _i in range(min(_m, _n)):
             x = _x + _half * _k1
             _k2 = eta * ({f})
             x = _x + _half * _k2
             _k3 = eta * ({f})
             x = _x + _dt * _k3
-            y = _y_node
             _k4 = eta * ({f})
             x = _x + _sixth * (_k1 + 2.0 * (_k2 + _k3) + _k4)
             if not abs(x) <= _limit:
                 return _xs, _i
             _x = _xs[_i + 1] = x
             _k1 = _fs[_i + 1] = eta * ({f})
+        for _start in range(_m, _n, _m):
+            for _i in range(_start, min(_start + _m, _n)):
+                _j = _i - _m
+                _y_node = _xs[_j + 1]
+                y = 0.5 * (_xs[_j] + _y_node) + _eighth * (_fs[_j] - _fs[_j + 1])
+                {d}
+                x = _x + _half * _k1
+                _k2 = eta * ({f})
+                x = _x + _half * _k2
+                _k3 = eta * ({f})
+                x = _x + _dt * _k3
+                y = _y_node
+                {d}
+                _k4 = eta * ({f})
+                x = _x + _sixth * (_k1 + 2.0 * (_k2 + _k3) + _k4)
+                if not abs(x) <= _limit:
+                    return _xs, _i
+                _x = _xs[_i + 1] = x
+                _k1 = _fs[_i + 1] = eta * ({f})
+            # step _i + 1 reads only samples _i - 2m .. _i + 1 and values
+            # computed from them; if those are one bit pattern, it reads what
+            # step _i read and repeats it, and so does every later step (zero
+            # is left out: 0.0 == -0.0, but the two print differently)
+            _lo = _i - 2 * _m
+            if x and _lo >= 0 and _xs[_lo] == x and _xs[_lo:_i + 2].count(x) == 2 * _m + 2:
+                _xs[_i + 2:] = [x] * (_n - _i - 1)
+                return _xs, _n
     except OverflowError:  # exp raises where a product gives inf, caught by the band
         return _xs, _i
     return _xs, _n
 """
+
+
+class _DelayTerms(ast.NodeTransformer):
+    """Replaces each largest subexpression that reads y but not x, other
+    than y itself, by a name _d0, _d1, ...; ``terms`` maps their source to
+    the names."""
+
+    def __init__(self):
+        self.terms = {}
+
+    def visit(self, node):
+        if isinstance(node, ast.expr) and not isinstance(node, ast.Name):
+            names = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+            if "y" in names and "x" not in names:
+                source = ast.unparse(node)
+                name = self.terms.setdefault(source, f"_d{len(self.terms)}")
+                return ast.Name(name, ast.Load())
+        return self.generic_visit(node)
 
 
 @functools.cache
@@ -174,8 +219,12 @@ def _compiled(cls) -> tuple:
     params = tuple(name for name in dict.fromkeys(names) if name not in ("x", "y", "exp"))
     if any(name == "eta" or name.startswith("_") for name in params):
         raise InvalidSpec(f"{cls.__name__}.expression names a reserved constant: {params}")
+    delay = _DelayTerms()
+    f = ast.unparse(delay.visit(ast.parse(cls.expression, mode="eval")))
+    d = "; ".join(f"{name} = {source}" for source, name in delay.terms.items())
     scope = {"exp": math.exp}
-    exec(_TEMPLATE.format(f=cls.expression, params="".join(p + ", " for p in params)), scope)
+    exec(_TEMPLATE.format(expression=cls.expression, f=f, d=d,
+                          params="".join(p + ", " for p in params)), scope)
     return params, scope["field"], scope["kernel"]
 
 
@@ -309,12 +358,15 @@ class Nicholson(ModelSpec):
         return EquilibriumReport(x_e=x, residual=res)
 
     def taylor_coefficients(self) -> TaylorCoefficients:
+        """The expansion about N*; InvalidSpec where x0_size squared, or a
+        coefficient that is not exactly zero, leaves the normal float range."""
         q = math.log(self.p_rate / self.gamma)
+        size2 = _normal(self.x0_size * self.x0_size, name="x0_size squared")
         return TaylorCoefficients(
             xi_x=-self.gamma,
             xi_y=-self.gamma * (q - 1.0),
-            xi_yy=-(self.gamma / self.x0_size) * (2.0 - q),
-            xi_yyy=(self.gamma / self.x0_size ** 2) * (3.0 - q),
+            xi_yy=_normal(-(self.gamma / self.x0_size) * (2.0 - q), q == 2.0, "xi_yy"),
+            xi_yyy=_normal(self.gamma / size2 * (3.0 - q), q == 3.0, "xi_yyy"),
             tau=self.tau,
         )
 
@@ -364,6 +416,13 @@ def quadratic_roots(spec: QuadraticBD) -> tuple[float, float]:
             f"quadratic discriminant negative ({disc:.6g}): no real equilibrium")
     s = math.sqrt(disc)
     return (-c1 + s) / 2.0, (-c1 - s) / 2.0
+
+
+def _normal(value: float, exact_zero: bool = False, name: str = "mu2") -> float:
+    """value if finite and normal, or zero or subnormal with exact_zero."""
+    if abs(value) < math.inf and (abs(value) >= sys.float_info.min or exact_zero):
+        return value
+    raise InvalidSpec(f"{name} = {value!r} is outside the normal float range")
 
 
 def _checked(spec) -> ModelSpec:

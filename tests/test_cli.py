@@ -380,6 +380,26 @@ def test_analyze_mu2_outside_the_float_range_exits_3(tmp_path, capsys, coeffs):
     assert not (out / "analyze.json").exists()
 
 
+
+@pytest.mark.parametrize("command", ["analyze", "sweep"])
+def test_nicholson_size_outside_the_float_range_exits_3(tmp_path, capsys, command):
+    # x0_size**2 overflows: float ** raised a bare OverflowError
+    ini = (NICHOLSON_INI.replace("x0_size = 1.0", "x0_size = 1e200")
+           + _sweep_ini("epsilon", 0.1, 0.9, 3))
+    code, stdout, err, out = _run(tmp_path, capsys, command, ini=ini)
+    assert code == 3
+    assert err.startswith("error: x0_size squared")
+    assert stdout == ""
+
+
+def test_simulate_step_count_beyond_an_index_exits_3(tmp_path, capsys):
+    # 5.3e302 steps: rejected before any list is allocated
+    ini = CUBIC_INI.replace("t_end = 60.0", "t_end = 1e300")
+    code, stdout, err, out = _run(tmp_path, capsys, "simulate", ini=ini)
+    assert code == 3
+    assert err.startswith("error: t_end")
+    assert not (out / "trajectory.csv").exists()
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

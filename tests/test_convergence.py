@@ -356,6 +356,20 @@ def test_verdict_keeps_its_digits_at_subnormal_b():
     assert rate_of_convergence(c, 1e12).regime is Regime.UNSTABLE
 
 
+
+def test_underflowing_decay_rate_keeps_the_stable_regime():
+    # 1 - 8.8e-9 of the stability limit: the 60-digit sigma is 4.4e-331,
+    # below the smallest float, so sigma3 underflows to 0; the model is
+    # still stable
+    c = TaylorCoefficients(xi_x=-6.176759755488391e-160, xi_y=-6.176759755488411e-160,
+                           tau=1.3063307984637236e308)
+    eta = 4.812326532236943e-142
+    assert stability_verdict(c, eta) == "stable"
+    assert classify_regime(c, eta) is Regime.OSCILLATORY_STABLE
+    rep = rate_of_convergence(c, eta)
+    assert rep.regime is Regime.OSCILLATORY_STABLE
+    assert rep.sigma == 0.0 and rep.sigma3 == 0.0
+
 @given(log_b=st.floats(-320.0, 300.0) | st.floats(-320.0, -290.0),
        eps=st.floats(0.0, 1.0, exclude_max=True),
        log_eta=st.floats(-300.0, 300.0), ratio=st.floats(0.2, 5.0))

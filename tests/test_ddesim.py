@@ -69,6 +69,13 @@ def test_integrate_rejects_short_run():
         integrate(_wright_model(), cfg)
 
 
+
+def test_integrate_rejects_a_step_count_beyond_an_index():
+    # 1e302 steps: refused before a sample list is allocated
+    cfg = SimConfig(eta=1.0, x_init=1.0, t_end=1e300)
+    with pytest.raises(InvalidSpec, match="more than a list can index"):
+        integrate(_wright_model(), cfg)
+
 def test_default_step_resolves_delay():
     traj = integrate(_wright_model(),
                      SimConfig(eta=1.0, x_init=1.0, t_end=50.0))

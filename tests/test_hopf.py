@@ -242,6 +242,13 @@ def test_nicholson_population_scale():
     assert nicholson_mu2_shape(0.4, x0_size=0.1) > 0.0
 
 
+
+@pytest.mark.parametrize("x0_size, name", [
+    (1e200, "x0_size squared"), (1e-200, "x0_size squared"), (1.3e154, "mu2")])
+def test_nicholson_shape_outside_the_float_range_is_invalid(x0_size, name):
+    with pytest.raises(InvalidSpec, match=name):
+        nicholson_mu2_shape(0.4, x0_size)
+
 # --- classification --------------------------------------------------------
 
 def test_classify_signs(ex1_coeffs, ex2_coeffs):

@@ -1,9 +1,12 @@
 """The compiled RK4 kernel behind integrate, and the expression contract.
 
 integrate runs one loop per model class, compiled from the model's
-expression with eta * f inlined at every stage.  It is pinned bit for bit
-to the loop it replaced, which called the closure spec.field(eta) at every
-stage; that loop is kept here as the oracle.
+expression with eta * f inlined at every stage and its delay-only terms
+evaluated once per delayed value.  The kernel stops where the run has
+reached a bit-exact constant other than zero, and fills the rest of the
+samples with it.  It is pinned bit for bit to the loop it replaced, which
+called the closure spec.field(eta) at every stage and ran every step; that
+loop is kept here as the oracle.
 """
 import random
 import sys
@@ -24,6 +27,7 @@ from delaybif import (
     SimConfig,
     TaylorCoefficients,
     Verdict,
+    critical_eta,
     integrate,
     metrics,
     quadratic_roots,
@@ -82,10 +86,12 @@ def _samples(spec, config):
 
 
 def _assert_bit_identical(spec, config):
+    """The samples of integrate, checked against the oracle's."""
     want = np.array(_reference(spec, config))
     got = _samples(spec, config)
     assert len(got) == len(want)
     assert got.tobytes() == want.tobytes()
+    return got
 
 
 def _seeded(variant, rng):
@@ -220,3 +226,87 @@ def test_constants_are_arguments_not_source():
     b = CubicBD(k=4.75, mu=1.0, lam=-7.0, tau=1.0)
     assert a.field(1.0).__code__ is b.field(2.0).__code__
     assert a.field(1.0)(0.2, 0.1) == 1.0 * (-(0.2 * 0.2 * 0.2 - 1.0 * 0.2 + -7.0) - 9.0 * 0.1)
+
+
+def _constant_tail(values) -> int:
+    """How many samples before the last are bit-equal to it."""
+    last = values[-1].tobytes()
+    k = len(values) - 1
+    while k > 0 and values[k - 1].tobytes() == last:
+        k -= 1
+    return len(values) - 1 - k
+
+
+@pytest.mark.parametrize("spec", _SPECS[:4], ids=lambda spec: spec.variant)
+@pytest.mark.parametrize("m", [20, 50])
+def test_settling_run_is_bit_identical(spec, m):
+    # below onset over 400 delays, as in the sim-grid benchmark workload
+    eta = 0.5 * critical_eta(spec.taylor_coefficients()).eta_c
+    x_e = spec.equilibrium().x_e
+    config = SimConfig(eta=eta, x_init=x_e + 0.1, t_end=400.0 * spec.tau, dt=spec.tau / m)
+    values = _assert_bit_identical(spec, config)
+    if x_e != 0.0:
+        # settled for three delays: the kernel met its stop at a delay boundary
+        assert values[-1] != 0.0 and _constant_tail(values) >= 3 * m + 2
+
+
+@pytest.mark.parametrize("spec", _SPECS[:3], ids=lambda spec: spec.variant)
+def test_run_from_the_equilibrium_is_bit_identical(spec):
+    x_e = spec.equilibrium().x_e
+    config = SimConfig(eta=0.5, x_init=x_e, t_end=60.0 * spec.tau, dt=spec.tau / 20)
+    assert set(_assert_bit_identical(spec, config).tolist()) == {x_e}
+
+
+def test_decay_to_zero_through_the_subnormals_is_bit_identical():
+    # x_e = 0: the run passes through subnormal samples and ends in 1,658
+    # samples of exactly 0.0, more than the 2m + 2 a stop compares; zero is
+    # never a stop, since 0.0 == -0.0
+    spec = Generic(TaylorCoefficients(xi_x=-1.0, xi_y=-2.0, tau=0.5))
+    config = SimConfig(eta=0.5, x_init=1.0, t_end=457.6, dt=0.02)
+    values = _assert_bit_identical(spec, config)
+    assert np.any((values != 0.0) & (np.abs(values) < sys.float_info.min))
+    assert values[-1] == 0.0 and _constant_tail(values) >= 2 * 25 + 2
+
+
+class _Counter:
+    """A callable that counts its calls."""
+
+    def __init__(self, f):
+        self.f, self.calls = f, 0
+
+    def __call__(self, x, y):
+        self.calls += 1
+        return self.f(x, y)
+
+
+@dataclass(frozen=True)
+class _Counted(ModelSpec):
+    """x' = eta * g(x, x(t - tau)) for a Python callable g, its one constant:
+    the kernel calls g once per evaluation of f."""
+
+    g: _Counter
+    tau: float
+
+    variant = "counted"
+    expression = "g(x, y)"
+
+
+@pytest.mark.parametrize("f, eta, x_init, tau, m, t_end, stops", [
+    (lambda x, y: 1.0 - 0.5 * x - y, 1.0, 0.0, 1.0, 20, 400.0, True),
+    (lambda x, y: -(x * x * x - x - 7.0) - 9.0 * y, 1.05, 0.9, 0.187, 20, 74.8, False),
+    (lambda x, y: -x - 2.0 * y, 0.5, 1.0, 0.5, 25, 457.6, False),
+], ids=["settles", "limit-cycle", "decays-to-zero"])
+def test_settled_run_stops_calling_f(f, eta, x_init, tau, m, t_end, stops):
+    g = _Counter(f)
+    spec = _Counted(g=g, tau=tau)
+    config = SimConfig(eta=eta, x_init=x_init, t_end=t_end, dt=tau / m)
+    n = round(t_end * m / tau)
+    want = np.array(_reference(spec, config))
+    g.calls = 0
+    got = integrate(spec, config).values
+    assert got.tobytes() == want.tobytes()
+    # one call for the first derivative, then four per step taken
+    assert g.calls % 4 == 1
+    assert (g.calls < 4 * n + 1) == stops
+    if stops:
+        assert g.calls < 4 * n // 2

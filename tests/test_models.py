@@ -210,6 +210,24 @@ def test_nicholson_rejects_subcritical_birth_rate():
         Nicholson(gamma=1.0, p_rate=-3.0, x0_size=1.0, tau=1.0)
 
 
+
+@pytest.mark.parametrize("x0_size, name", [
+    (1e200, "x0_size squared"),   # the square overflows
+    (1e-200, "x0_size squared"),  # the square underflows to 0
+    (1.3e154, "xi_yyy"),          # gamma / x0_size^2 is subnormal
+])
+def test_nicholson_coefficients_outside_the_float_range_are_invalid(x0_size, name):
+    spec = Nicholson(gamma=1.0, p_rate=50.0, x0_size=x0_size, tau=1.0)
+    with pytest.raises(InvalidSpec, match=name):
+        spec.taylor_coefficients()
+
+
+def test_nicholson_coefficient_may_be_exactly_zero():
+    # q = ln(p_rate/gamma) = 3 exactly: xi_yyy = 0 is exact, not an underflow
+    spec = Nicholson(gamma=1.0, p_rate=math.exp(3.0), x0_size=1.0, tau=1.0)
+    assert math.log(spec.p_rate / spec.gamma) == 3.0
+    assert spec.taylor_coefficients().xi_yyy == 0.0
+
 def test_taylor_cone_validation():
     with pytest.raises(InvariantViolation, match="need b > a"):
         TaylorCoefficients(xi_x=-1.0, xi_y=-1.0, tau=1.0)
