@@ -126,7 +126,9 @@ def integrate(spec: ModelSpec, config: SimConfig) -> Trajectory:
     interval midpoints: stage k4 and the derivative at the new node read
     node i-m+1 of the stored history, stages k2 and k3 the midpoint of
     [i-m, i-m+1], where the cubic Hermite interpolant through the samples
-    and their derivatives is 0.5*(x_j + x_j+1) + dt/8*(f_j - f_j+1).
+    and their derivatives is 0.5*(x_j + x_j+1) + dt/8*(f_j - f_j+1).  Each
+    midpoint is built once, when node j+1 lands, and each delay reads its
+    midpoints and nodes from slices taken before it starts.
     The loop is spec.rk4, one call per run: the model's compiled kernel,
     eta * f inlined at every stage.  History on [-tau, 0] is config.x_init.
     After each delay the kernel compares the newest 2m + 2 samples; step
@@ -171,7 +173,7 @@ def integrate(spec: ModelSpec, config: SimConfig) -> Trajectory:
     n = int(round(steps))
     xs, i = spec.rk4(float(config.x_init), n, m, dt, config.eta, DIVERGENCE_THRESHOLD)
     traj = Trajectory(times=np.arange(i + 1, dtype=float) * dt,
-                      values=np.array(xs[:i + 1]), model=spec, config=config)
+                      values=np.fromiter(xs, float, i + 1), model=spec, config=config)
     if i < n:
         raise Divergence(f"|x| exceeded {DIVERGENCE_THRESHOLD:.0e} at t = "
                          f"{(i + 1) * dt:.6g}", trajectory=traj)

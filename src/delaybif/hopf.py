@@ -20,7 +20,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .chareq import HopfPoint
+from .chareq import HopfPoint, _stability_limit
 from .errors import DegenerateEpsilon, InvalidSpec, ZeroDenominator
 from .models import Nicholson, TaylorCoefficients, _normal
 
@@ -83,12 +83,18 @@ class LyapunovReport:
     cycle_stability: CycleStability
 
 
-def _eps_parts(epsilon: float) -> tuple[float, float]:
-    """(sqrt(1-eps^2), arccos(-eps)) with the domain guard 0 <= eps < 1."""
-    if not 0.0 <= epsilon < 1.0:
+def _eps_parts(a: float, b: float = 1.0) -> tuple[float, float, float]:
+    """(1 - e^2, sqrt(1 - e^2), arccos(-e)) of e = a/b, guarded to [0, 1).
+
+    The last two are chareq._stability_limit's r and theta: with 1 - e taken
+    as (b - a)/b, none loses the digits of b - a as a -> b.
+    """
+    e = a / b
+    if not 0.0 <= e < 1.0:
         raise DegenerateEpsilon(
-            f"epsilon = a/b must lie in [0, 1), got {epsilon!r}")
-    return math.sqrt(1.0 - epsilon * epsilon), math.acos(-epsilon)
+            f"epsilon = a/b must lie in [0, 1), got {e!r}")
+    one_e2 = (b - a) / b * (1.0 + e)
+    return one_e2, math.sqrt(one_e2), _stability_limit(a, b)[0]
 
 
 def mu2_closed_form(coeffs: TaylorCoefficients) -> float:
@@ -96,9 +102,13 @@ def mu2_closed_form(coeffs: TaylorCoefficients) -> float:
 
     The value is a rational-trigonometric function of epsilon = a/b scaled
     by powers of b, with one brace collecting the six quadratic-coefficient
-    products and one the four cubic coefficients.  It corresponds to the
-    center-manifold result normalized to critical gain 1; see
-    mu2_center_manifold for the route that carries the gain explicitly.
+    products and one the four cubic coefficients.  1 - e^2 and arccos(-e)
+    are taken from (b - a)/b, as chareq._stability_limit takes them, so the
+    value keeps its digits at the cone edge a -> b.
+
+    It is mu2_center_manifold's mu2 divided by eta_c: per unit relative
+    gain, so the cycle just above onset has amplitude^2 close to
+    4*(eta/eta_c - 1)/mu2_closed_form.
 
     Parameters
     ----------
@@ -119,7 +129,7 @@ def mu2_closed_form(coeffs: TaylorCoefficients) -> float:
     """
     b = coeffs.b
     e = coeffs.epsilon
-    ck, ht = _eps_parts(e)
+    one_e2, ck, ht = _eps_parts(coeffs.a, b)
     xx, xy, yy = coeffs.xi_xx, coeffs.xi_xy, coeffs.xi_yy
     xxx, xxy, xyy, yyy = coeffs.xi_xxx, coeffs.xi_xxy, coeffs.xi_xyy, coeffs.xi_yyy
     quad = (
@@ -141,8 +151,8 @@ def mu2_closed_form(coeffs: TaylorCoefficients) -> float:
         + xxy * (3 * ck * e + ht * (1 + 2 * e * e))
         + yyy * (3 * ck * e + 3 * ht)
     )
-    return _normal(quad / b / (b * (1 + e) * (1 - e * e) * ht * (5 - 4 * e))
-                   + cub / (b * (1 - e * e) * ht), not any(coeffs.as_tuple()[2:9]))
+    return _normal(quad / b / (b * (1 + e) * one_e2 * ht * (5 - 4 * e))
+                   + cub / (b * one_e2 * ht), not any(coeffs.as_tuple()[2:9]))
 
 
 def mu2_center_manifold(coeffs: TaylorCoefficients,
@@ -157,6 +167,10 @@ def mu2_center_manifold(coeffs: TaylorCoefficients,
         c1(0) = (i/(2 omega0)) (g20 g11 - 2|g11|^2 - |g02|^2/3) + g21/2
         mu2   = -Re c1(0) / alpha'(0)
         beta2 = 2 Re c1(0)
+
+    mu2 is per unit absolute gain: the cycle just above onset has
+    amplitude^2 close to 4*(eta - eta_c)/mu2.  It is mu2_closed_form times
+    eta_c.
 
     Parameters
     ----------
@@ -178,7 +192,7 @@ def mu2_center_manifold(coeffs: TaylorCoefficients,
     InvalidSpec
         If mu2 leaves the normal float range.
     """
-    _eps_parts(coeffs.epsilon)
+    _eps_parts(coeffs.a, coeffs.b)
     xi_x, xi_y = coeffs.xi_x, coeffs.xi_y
     xi_xx, xi_xy, xi_yy = coeffs.xi_xx, coeffs.xi_xy, coeffs.xi_yy
     xi_xxx, xi_xxy = coeffs.xi_xxx, coeffs.xi_xxy
@@ -242,16 +256,16 @@ def g_tilde(epsilon: float) -> float:
     the bifurcation subcritical.  The b^2 scale is left to the caller so
     that mu2 = (xi_xx^2 / b^2) g_tilde(eps) for a purely quadratic model.
     """
-    ck, ht = _eps_parts(epsilon)
+    one_e2, ck, ht = _eps_parts(epsilon)
     e = epsilon
     num = ck * (12 * e - 18) + ht * (8 * e * e - 18 * e + 4)
-    return num / ((1 + e) * (1 - e * e) * ht * (5 - 4 * e))
+    return num / ((1 + e) * one_e2 * ht * (5 - 4 * e))
 
 
 def h_tilde(epsilon: float) -> float:
     """Cubic-coupling shape function; h_tilde(0) = -6/pi."""
-    ck, ht = _eps_parts(epsilon)
-    return (-3.0 * ck - 3.0 * epsilon * ht) / ((1 - epsilon * epsilon) * ht)
+    one_e2, ck, ht = _eps_parts(epsilon)
+    return (-3.0 * ck - 3.0 * epsilon * ht) / (one_e2 * ht)
 
 
 def mu2_cubic_specialization(coeffs: TaylorCoefficients) -> float:
@@ -282,11 +296,11 @@ def nicholson_mu2_shape(epsilon: float, x0_size: float = 1.0) -> float:
         If x0_size squared, or mu2, is outside the normal float range.
     """
     eps = epsilon
-    ck, ht = _eps_parts(eps)
+    one_e2, ck, ht = _eps_parts(eps)
     first = ((1 - eps) / ((1 + eps) ** 2 * ht * (5 - 4 * eps))
              * (ck * (-8 * eps**3 - 8 * eps**2 + 26 * eps - 4)
                 + ht * (-4 * eps**2 - 12 * eps + 22)))
-    second = ((2 * eps - 1) / ((1 - eps * eps) * ht)
+    second = ((2 * eps - 1) / (one_e2 * ht)
               * (3 * eps * ck + 3 * ht))
     return _normal((first + second) / _normal(x0_size * x0_size, name="x0_size squared"))
 

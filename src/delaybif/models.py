@@ -110,10 +110,11 @@ class ModelSpec:
     default the model's attributes of those names.  Compiled once per class,
     the expression gives ``field(eta)``, the closure ``f(x, x_delayed)`` of
     eta times f, and the RK4 kernel run by ``rk4``, with f inlined at every
-    stage, its delay-only terms evaluated once per delayed value, and a stop
-    where the run has settled on a bit-exact nonzero constant; eta and the
-    constants are arguments, never source.  Module-level functions of the
-    same names check for a ModelSpec once and delegate.
+    stage, its delay-only terms evaluated once per delayed value, each
+    Hermite midpoint of the history built once, when its right node lands,
+    and a stop where the run has settled on a bit-exact nonzero constant;
+    eta and the constants are arguments, never source.  Module-level
+    functions of the same names check for a ModelSpec once and delegate.
     """
 
     expression: str
@@ -141,13 +142,15 @@ def field(eta, *, {params}exp=exp):
     return lambda x, y: eta * ({expression})
 
 def kernel(_x0, _n, _m, _dt, eta, _limit, *, {params}exp=exp):
-    _xs, _fs = [_x0] * (_n + 1), [0.0] * (_n + 1)
-    _half, _sixth, _eighth = 0.5 * _dt, _dt / 6.0, 0.125 * _dt
+    # _ys[j]: the cubic Hermite midpoint of [t_j, t_j+1], built once when
+    # node j + 1 lands, from both nodes, _k1 and _fn, f at the new node
+    _xs, _ys = [_x0] * (_n + 1), [0.0] * _n
+    _half, _sixth, _eighth, _floor = 0.5 * _dt, _dt / 6.0, 0.125 * _dt, -_limit
     x = y = _x = _x0
     _i = 0
     try:
         {d}
-        _k1 = _fs[0] = eta * ({f})
+        _k1 = eta * ({f})
         # the first delay: every delayed read falls in the constant history
         for _i in range(min(_m, _n)):
             x = _x + _half * _k1
@@ -157,15 +160,16 @@ def kernel(_x0, _n, _m, _dt, eta, _limit, *, {params}exp=exp):
             x = _x + _dt * _k3
             _k4 = eta * ({f})
             x = _x + _sixth * (_k1 + 2.0 * (_k2 + _k3) + _k4)
-            if not abs(x) <= _limit:
+            if not _floor <= x <= _limit:
                 return _xs, _i
-            _x = _xs[_i + 1] = x
-            _k1 = _fs[_i + 1] = eta * ({f})
+            _xs[_i + 1] = x
+            _fn = eta * ({f})
+            _ys[_i] = 0.5 * (_x + x) + _eighth * (_k1 - _fn)
+            _x, _k1 = x, _fn
         for _start in range(_m, _n, _m):
-            for _i in range(_start, min(_start + _m, _n)):
-                _j = _i - _m
-                _y_node = _xs[_j + 1]
-                y = 0.5 * (_xs[_j] + _y_node) + _eighth * (_fs[_j] - _fs[_j + 1])
+            _end = min(_start + _m, _n)
+            for _i, y, _y_node in zip(range(_start, _end), _ys[_start - _m:_end - _m],
+                                      _xs[_start - _m + 1:_end - _m + 1]):
                 {d}
                 x = _x + _half * _k1
                 _k2 = eta * ({f})
@@ -176,10 +180,12 @@ def kernel(_x0, _n, _m, _dt, eta, _limit, *, {params}exp=exp):
                 {d}
                 _k4 = eta * ({f})
                 x = _x + _sixth * (_k1 + 2.0 * (_k2 + _k3) + _k4)
-                if not abs(x) <= _limit:
+                if not _floor <= x <= _limit:
                     return _xs, _i
-                _x = _xs[_i + 1] = x
-                _k1 = _fs[_i + 1] = eta * ({f})
+                _xs[_i + 1] = x
+                _fn = eta * ({f})
+                _ys[_i] = 0.5 * (_x + x) + _eighth * (_k1 - _fn)
+                _x, _k1 = x, _fn
             # step _i + 1 reads only samples _i - 2m .. _i + 1 and values
             # computed from them; if those are one bit pattern, it reads what
             # step _i read and repeats it, and so does every later step (zero
@@ -257,32 +263,29 @@ class CubicBD(_DelayedPolynomial):
     expression = "-(x * x * x - mu * x + lam) - k * y"
 
     def equilibrium(self) -> EquilibriumReport:
-        # x^3 + (k - mu) x + lam is strictly increasing because k > mu, so
-        # plain bisection is safe; Newton polishes the bracketed root
-        c1 = self.k - self.mu
+        # x^3 + c1 x + lam increases strictly (c1 = k - mu > 0), so bisection
+        # on its sign alone is safe, down to width 1e-12 or, where the root
+        # is too large for that, to two adjacent floats; Newton polishes,
+        # skipping a step that overflows
+        c1, lam = self.k - self.mu, self.lam
 
         def poly(x: float) -> float:
-            return x * x * x + c1 * x + self.lam
+            return x * x * x + c1 * x + lam
 
-        lo = -1.0 - abs(self.lam) - self.k
-        hi = 1.0 + abs(self.lam) + self.k
-        flo = poly(lo)
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if hi - lo < 1e-12:
-                break
-            fm = poly(mid)
-            if flo * fm <= 0.0:
-                hi = mid
-            else:
-                lo, flo = mid, fm
+        hi = min(1.0 + abs(lam) + self.k, sys.float_info.max)
+        lo = -hi
         x = 0.5 * (lo + hi)
+        while hi - lo >= 1e-12 and lo < x < hi:
+            if poly(x) < 0.0:
+                lo = x
+            else:
+                hi = x
+            x = 0.5 * (lo + hi)
         for _ in range(3):
-            d = 3.0 * x * x + c1
-            if d != 0.0:
-                x -= poly(x) / d
-        res = abs(x ** 3 + c1 * x + self.lam)
-        return EquilibriumReport(x_e=x, residual=res)
+            step = poly(x) / (3.0 * x * x + c1)
+            if abs(step) < math.inf:
+                x -= step
+        return EquilibriumReport(x_e=x, residual=abs(poly(x)))
 
     def taylor_coefficients(self) -> TaylorCoefficients:
         x_e = self.equilibrium().x_e

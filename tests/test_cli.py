@@ -380,6 +380,15 @@ def test_analyze_mu2_outside_the_float_range_exits_3(tmp_path, capsys, coeffs):
     assert not (out / "analyze.json").exists()
 
 
+def test_analyze_at_extreme_lam_names_the_cone(tmp_path, capsys):
+    # x_e = 5.5e102 is finite, so the linearization a = 3 x_e^2 - mu leaves
+    # the cone b > a; a NaN equilibrium had reported a non-finite coefficient
+    ini = CUBIC_INI.replace("k = 9.0", "k = 2.0").replace("lam = -7.0", "lam = -1.7e308")
+    code, stdout, err, _ = _run(tmp_path, capsys, "analyze", ini=ini)
+    assert code == 3
+    assert err.startswith("error: need b > a") and "b = 2.0" in err
+    assert stdout == ""
+
 
 @pytest.mark.parametrize("command", ["analyze", "sweep"])
 def test_nicholson_size_outside_the_float_range_exits_3(tmp_path, capsys, command):

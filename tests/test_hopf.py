@@ -127,6 +127,22 @@ def test_paths_agree_at_unit_critical_gain():
         assert recipe == pytest.approx(closed, rel=1e-8, abs=1e-10)
 
 
+@pytest.mark.parametrize("gap", [1e-3, 1e-6, 1e-9, 1e-12, 1e-14])
+def test_paths_agree_at_the_cone_edge(gap):
+    # a = b(1 - gap): the closed form takes 1 - e^2 and arccos(-e) from
+    # (b - a)/b, not from the rounded e = a/b, which lost 5e-3 of mu2 at 1e-14
+    rng = np.random.default_rng(round(-math.log10(gap)))
+    for _ in range(20):
+        b = float(rng.uniform(0.5, 5.0))
+        nl = rng.uniform(-2.0, 2.0, size=7)
+        c = TaylorCoefficients(xi_x=-b * (1.0 - gap), xi_y=-b,
+                               xi_xx=nl[0], xi_xy=nl[1], xi_yy=nl[2], xi_xxx=nl[3],
+                               xi_xxy=nl[4], xi_xyy=nl[5], xi_yyy=nl[6], tau=1.0)
+        hopf = critical_eta(c)
+        assert mu2_center_manifold(c, hopf).mu2 / hopf.eta_c == pytest.approx(
+            mu2_closed_form(c), rel=1e-12)
+
+
 # --- shape functions -------------------------------------------------------
 
 def test_shape_values_at_zero():

@@ -8,6 +8,7 @@ samples with it.  It is pinned bit for bit to the loop it replaced, which
 called the closure spec.field(eta) at every stage and ran every step; that
 loop is kept here as the oracle.
 """
+import math
 import random
 import sys
 from dataclasses import dataclass
@@ -141,6 +142,51 @@ def test_kernel_partial_trajectory_is_bit_identical(spec, x_init, m):
     with pytest.raises(Divergence):
         integrate(spec, config)
     _assert_bit_identical(spec, config)
+
+
+@pytest.mark.parametrize("m", [20, 50, 100])
+@pytest.mark.parametrize("variant", ["cubic", "quadratic", "nicholson", "generic"])
+def test_partial_last_delay_is_bit_identical(variant, m):
+    # the last interval holds 0.37 of a delay: its midpoint and node slices
+    # are shorter than m
+    rng = random.Random(f"partial-{variant}-{m}")
+    finished = 0
+    for _ in range(4):
+        spec, eta, x_init = _seeded(variant, rng)
+        config = SimConfig(eta=eta, x_init=x_init, t_end=(50 + 0.37) * spec.tau,
+                           dt=spec.tau / m)
+        n = round(config.t_end / config.dt)
+        assert n % m == round(0.37 * m)
+        finished += len(_assert_bit_identical(spec, config)) == n + 1
+    assert finished
+
+
+@pytest.mark.parametrize("m", [20, 50, 100])
+def test_guard_band_exit_in_a_later_delay_is_bit_identical(m):
+    # a subcritical quadratic above onset blows up in finite time: |x| leaves
+    # the band, with no stage overflowing, while its delayed values stream
+    # from the fourth delay's slices
+    spec = QuadraticBD(k=6.0, mu=1.0, lam=-7.0, tau=0.5)
+    config = SimConfig(eta=1.0, x_init=quadratic_roots(spec)[0] - 1.0,
+                       t_end=50.0 * spec.tau, dt=spec.tau / m)
+    with pytest.raises(Divergence):
+        integrate(spec, config)
+    values = _assert_bit_identical(spec, config)
+    assert (len(values) - 1) // m == 3
+    assert np.all(np.abs(values) <= DIVERGENCE_THRESHOLD)
+
+
+@pytest.mark.parametrize("m", [20, 50, 100])
+def test_nan_stage_ends_as_divergence(m):
+    # inf - inf: the cubic terms at 1e3 overflow with opposite signs, so k1
+    # is NaN and the band test, which NaN fails, ends the run
+    spec = Generic(TaylorCoefficients(xi_x=-0.5, xi_y=-1.0, xi_xxx=1e300,
+                                      xi_yyy=-1e300, tau=1.0))
+    assert math.isnan(spec.field(1.0)(1e3, 1e3))
+    config = SimConfig(eta=1.0, x_init=1e3, t_end=50.0, dt=1.0 / m)
+    with pytest.raises(Divergence):
+        integrate(spec, config)
+    assert _assert_bit_identical(spec, config).tolist() == [1e3]
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 """Model definitions: equilibria, Taylor tables, validation, rhs evaluation."""
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -38,8 +39,19 @@ def test_cubic_equilibrium_second_set(ex2_spec):
     assert rep.residual < 1e-10
 
 
+def _within_ulps(spec, x, ulps=2):
+    """True if the real root of x^3 + (k - mu) x + lam lies within ulps
+    floats of x: the cubic, evaluated exactly, changes sign there."""
+    c1, lam = Fraction(spec.k) - Fraction(spec.mu), Fraction(spec.lam)
+    lo = hi = x
+    for _ in range(ulps):
+        lo, hi = math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
+    lo, hi = Fraction(lo), Fraction(hi)
+    return lo ** 3 + c1 * lo + lam <= 0 <= hi ** 3 + c1 * hi + lam
+
+
 @given(k=st.floats(0.5, 20.0), mu=st.floats(-3.0, 3.0),
-       lam=st.floats(-10.0, 10.0))
+       lam=st.floats(-1e300, 1e300))
 @settings(max_examples=60, deadline=None)
 def test_cubic_equilibrium_residual_property(k, mu, lam):
     if k <= mu:
@@ -47,6 +59,19 @@ def test_cubic_equilibrium_residual_property(k, mu, lam):
     spec = CubicBD(k=k, mu=mu, lam=lam, tau=0.3)
     rep = equilibrium(spec)
     assert rep.residual < 1e-8 * max(1.0, abs(rep.x_e) ** 3)
+    assert _within_ulps(spec, rep.x_e)
+
+
+@pytest.mark.parametrize("k, lam", [(2.0, -1e20), (2.0, -1e100), (2.0, -1e200),
+                                    (2.0, 1e300), (2.0, -1.7e308), (1e308, 1e308)])
+def test_cubic_equilibrium_at_large_lam(k, lam):
+    # 200 halvings of a bracket 2(1 + |lam| + k) wide stopped far from the
+    # root (lam = -1e100 gave 1.84e39 for a root at 2.15e33), and a product
+    # of two cubic values overflowed to NaN; at k = lam = 1e308 the bracket
+    # itself overflows
+    spec = CubicBD(k=k, mu=1.0, lam=lam, tau=1.0)
+    x_e = equilibrium(spec).x_e
+    assert math.isfinite(x_e) and _within_ulps(spec, x_e)
 
 
 def test_equilibrium_is_rhs_zero(ex1_spec, ex2_spec, nich_spec):
