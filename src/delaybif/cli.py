@@ -70,35 +70,24 @@ def _read_config(path: str) -> configparser.ConfigParser:
 
 
 def _get(cp, section: str, key: str, default=None, required: bool = False) -> Optional[str]:
-    if not cp.has_section(section):
-        if required:
-            raise _ConfigError(f"missing [{section}] section")
-        return default
-    if not cp.has_option(section, key):
-        if required:
-            raise _ConfigError(f"missing key {key!r} in [{section}]")
-        return default
-    return cp.get(section, key)
+    if required and not cp.has_section(section):
+        raise _ConfigError(f"missing [{section}] section")
+    if required and not cp.has_option(section, key):
+        raise _ConfigError(f"missing key {key!r} in [{section}]")
+    return cp.get(section, key, fallback=default)
 
 
-def _get_float(cp, section, key, default=None, required=False) -> Optional[float]:
+def _get_number(cp, section, key, default=None, required=False, kind=float):
     raw = _get(cp, section, key, required=required)
     if raw is None or raw.strip() == "":
+        if required:
+            raise _ConfigError(f"missing value for {key!r} in [{section}]")
         return default
     try:
-        return float(raw)
+        return kind(raw)
     except ValueError:
-        raise _ConfigError(f"[{section}] {key} = {raw!r} is not a number")
-
-
-def _get_int(cp, section, key, default=None, required=False) -> Optional[int]:
-    raw = _get(cp, section, key, required=required)
-    if raw is None or raw.strip() == "":
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        raise _ConfigError(f"[{section}] {key} = {raw!r} is not an integer")
+        noun = "a number" if kind is float else "an integer"
+        raise _ConfigError(f"[{section}] {key} = {raw!r} is not {noun}")
 
 
 def _get_bool(cp, section, key, default=False) -> bool:
@@ -114,6 +103,17 @@ def _get_bool(cp, section, key, default=False) -> bool:
 _VARIANTS = {cls.variant: cls for cls in (CubicBD, QuadraticBD, Nicholson, Generic)}
 
 
+def _read_fields(cp, section: str, cls, required=()):
+    """cls built from one number per dataclass field, keyed by its name in
+    [section]; a field with a default may be left unset unless required."""
+    values = {}
+    for field in dataclasses.fields(cls):
+        optional = field.default is not dataclasses.MISSING and field.name not in required
+        values[field.name] = _get_number(cp, section, field.name, field.default,
+                                         required=not optional)
+    return cls(**values)
+
+
 def _build_model(cp):
     variant = _get(cp, "model", "variant", required=True)
     cls = _VARIANTS.get(variant)
@@ -121,29 +121,16 @@ def _build_model(cp):
         raise _ConfigError(
             f"unknown model variant {variant!r} "
             "(expected cubic, quadratic, nicholson, or generic)")
-    # a generic model is read as its Taylor coefficients: the delay stays
-    # required and the unset higher-order coefficients default to 0
-    target = TaylorCoefficients if cls is Generic else cls
-    values = {}
-    for field in dataclasses.fields(target):
-        optional = field.default is not dataclasses.MISSING and field.name != "tau"
-        values[field.name] = _get_float(cp, "model", field.name,
-                                        field.default if optional else None,
-                                        required=not optional)
-    spec = target(**values)
-    return Generic(spec) if cls is Generic else spec
+    if cls is Generic:
+        # read as its Taylor coefficients: the unset higher-order ones are 0
+        return Generic(_read_fields(cp, "model", TaylorCoefficients, required=("tau",)))
+    return _read_fields(cp, "model", cls)
 
 
 def _sim_config(cp):
     # ddesim, and with it numpy, is imported only by the commands that simulate
     from .ddesim import SimConfig
-    return SimConfig(
-        eta=_get_float(cp, "sim", "eta", required=True),
-        x_init=_get_float(cp, "sim", "x_init", required=True),
-        t_end=_get_float(cp, "sim", "t_end", required=True),
-        dt=_get_float(cp, "sim", "dt", None),
-        transient_fraction=_get_float(cp, "sim", "transient_fraction", 0.5),
-    )
+    return _read_fields(cp, "sim", SimConfig)
 
 
 def _grid(cp) -> tuple[str, list[float]]:
@@ -157,9 +144,9 @@ def _grid(cp) -> tuple[str, list[float]]:
     if axis not in ("tau", "eta", "epsilon"):
         raise _ConfigError(f"unknown sweep axis {axis!r} "
                            "(expected tau, eta, or epsilon)")
-    start = _get_float(cp, "sweep", "start", required=True)
-    stop = _get_float(cp, "sweep", "stop", required=True)
-    count = _get_int(cp, "sweep", "count", required=True)
+    start = _get_number(cp, "sweep", "start", required=True)
+    stop = _get_number(cp, "sweep", "stop", required=True)
+    count = _get_number(cp, "sweep", "count", required=True, kind=int)
     if count < 1:
         raise _ConfigError(f"empty sweep grid: count = {count}")
     if not math.isfinite(stop - start):
@@ -242,7 +229,7 @@ def _cmd_analyze(cp, outdir: str, fmt: str) -> int:
     model = _build_model(cp)
     eq = equilibrium(model)
     coeffs = taylor_coefficients(model)
-    eta = _get_float(cp, "analysis", "eta", 1.0)
+    eta = _get_number(cp, "analysis", "eta", 1.0)
     hopf_pt = critical_eta(coeffs)
     conv = rate_of_convergence(coeffs, eta)
     lyap = mu2_center_manifold(coeffs, hopf_pt)
@@ -277,7 +264,7 @@ def _cmd_sweep(cp, outdir: str, fmt: str) -> int:
     outputs = []
     if axis == "tau":
         coeffs = taylor_coefficients(model)
-        eta = _get_float(cp, "analysis", "eta", 1.0)
+        eta = _get_number(cp, "analysis", "eta", 1.0)
         rows = []
         for tau, rep in sweep_tau(coeffs, grid, eta):
             rows.append([tau, rep.sigma, rep.sigma1, rep.sigma2, rep.sigma3,
@@ -341,14 +328,12 @@ def _cmd_simulate(cp, outdir: str, fmt: str) -> int:
 def _cmd_roots(cp, outdir: str, fmt: str) -> int:
     model = _build_model(cp)
     coeffs = taylor_coefficients(model)
-    eta = _get_float(cp, "roots", "eta",
-                     _get_float(cp, "analysis", "eta", 1.0))
+    eta = _get_number(cp, "roots", "eta",
+                       _get_number(cp, "analysis", "eta", 1.0))
     region = RootSearchRegion.default_for(coeffs, eta)
-    overrides = {k: _get_float(cp, "roots", k)
-                 for k in ("re_min", "re_max", "im_max")}
-    overrides = {k: v for k, v in overrides.items() if v is not None}
-    if overrides:
-        region = dataclasses.replace(region, **overrides)
+    overrides = {k: v for k in ("re_min", "re_max", "im_max")
+                 if (v := _get_number(cp, "roots", k)) is not None}
+    region = dataclasses.replace(region, **overrides)
     roots = rightmost_roots(coeffs, eta, region)
     rows = [[r.re, r.im, r.residual] for r in roots]
     name = _write_table(outdir, "roots", ["re", "im", "residual"], rows, fmt)

@@ -1,5 +1,11 @@
 """Exception hierarchy shared by all analysis modules."""
 
+__all__ = [
+    "DelayBifError", "InvalidSpec", "NoEquilibrium", "InvariantViolation",
+    "DegenerateLinearization", "DegenerateEpsilon", "ZeroDenominator",
+    "NoConvergence", "Divergence", "StepTooLarge",
+]
+
 
 class DelayBifError(Exception):
     """Base class for every error raised by this package."""
@@ -30,7 +36,11 @@ class DegenerateEpsilon(DelayBifError):
 
 
 class ZeroDenominator(DelayBifError):
-    """A center-manifold denominator vanished (xi_x + xi_y = 0)."""
+    """A center-manifold denominator vanished (xi_x + xi_y = 0).
+
+    No longer raised: ``TaylorCoefficients`` enforces 0 <= a < b, so
+    xi_x + xi_y = -(a + b) < 0.  Kept so that code catching it still imports.
+    """
 
 
 class NoConvergence(DelayBifError):

@@ -3,15 +3,17 @@
 Two independent routes to the coefficient mu2 are provided: a closed-form
 rational-trigonometric expression in (b, epsilon) and the quadratic/cubic
 Taylor coefficients, and a step-by-step center-manifold reduction carried
-out in complex double precision.  At a coefficient set whose delay puts the
-critical gain at exactly 1 the two routes agree to machine precision; the
-test suite pins this down to 1e-8 relative over random coefficient sets.
-The closed-form coefficient table is cross-validated monomial by monomial
-against the center-manifold route.
+out in complex double precision.  The closed form is per unit relative gain
+and the reduction per unit absolute gain, so at any delay the closed form
+equals the center-manifold mu2 divided by eta_c; the test suite pins this
+down to 1e-12 relative over random coefficient sets.
 
-Specializations for models with a single nonlinear argument (quadratic and
-cubic self-coupling, and the exponential birth-rate model) are expressed
-through the shape functions g_tilde and h_tilde of epsilon alone.
+Models with a single nonlinear argument are expressed through shape
+functions of epsilon alone.  g_tilde and h_tilde (quadratic and cubic
+self-coupling) and the two specializations built on them evaluate the
+closed form on a restricted coefficient set.  nicholson_mu2_shape, the
+exponential birth-rate model's shape, is derived by hand, independently of
+the closed form.
 """
 from __future__ import annotations
 
@@ -21,7 +23,7 @@ import math
 from dataclasses import dataclass
 
 from .chareq import HopfPoint, _stability_limit
-from .errors import DegenerateEpsilon, InvalidSpec, ZeroDenominator
+from .errors import DegenerateEpsilon, InvalidSpec
 from .models import Nicholson, TaylorCoefficients, _normal
 
 __all__ = [
@@ -83,16 +85,19 @@ class LyapunovReport:
     cycle_stability: CycleStability
 
 
+def _checked_epsilon(e: float) -> float:
+    if not 0.0 <= e < 1.0:
+        raise DegenerateEpsilon(f"epsilon = a/b must lie in [0, 1), got {e!r}")
+    return e
+
+
 def _eps_parts(a: float, b: float = 1.0) -> tuple[float, float, float]:
     """(1 - e^2, sqrt(1 - e^2), arccos(-e)) of e = a/b, guarded to [0, 1).
 
     The last two are chareq._stability_limit's r and theta: with 1 - e taken
     as (b - a)/b, none loses the digits of b - a as a -> b.
     """
-    e = a / b
-    if not 0.0 <= e < 1.0:
-        raise DegenerateEpsilon(
-            f"epsilon = a/b must lie in [0, 1), got {e!r}")
+    e = _checked_epsilon(a / b)
     one_e2 = (b - a) / b * (1.0 + e)
     return one_e2, math.sqrt(one_e2), _stability_limit(a, b)[0]
 
@@ -185,21 +190,13 @@ def mu2_center_manifold(coeffs: TaylorCoefficients,
 
     Raises
     ------
-    DegenerateEpsilon
-        If epsilon lies outside [0, 1).
-    ZeroDenominator
-        If xi_x + xi_y = 0, which collapses the correction constant F.
     InvalidSpec
         If mu2 leaves the normal float range.
     """
-    _eps_parts(coeffs.a, coeffs.b)
     xi_x, xi_y = coeffs.xi_x, coeffs.xi_y
     xi_xx, xi_xy, xi_yy = coeffs.xi_xx, coeffs.xi_xy, coeffs.xi_yy
     xi_xxx, xi_xxy = coeffs.xi_xxx, coeffs.xi_xxy
     xi_xyy, xi_yyy = coeffs.xi_xyy, coeffs.xi_yyy
-    if xi_x + xi_y == 0.0:
-        raise ZeroDenominator("xi_x + xi_y = 0 makes the w11 correction "
-                              "constant F undefined")
     tau = coeffs.tau
     eta = hopf.eta_c
     w0 = hopf.omega0
@@ -252,35 +249,36 @@ def mu2_center_manifold(coeffs: TaylorCoefficients,
 def g_tilde(epsilon: float) -> float:
     """Quadratic-coupling shape function of the Lyapunov coefficient.
 
-    Negative on all of [0, 1): quadratic self-coupling alone always makes
-    the bifurcation subcritical.  The b^2 scale is left to the caller so
-    that mu2 = (xi_xx^2 / b^2) g_tilde(eps) for a purely quadratic model.
+    mu2_closed_form at b = 1, a = epsilon with xi_xx = 1 its one nonlinear
+    coefficient.  Negative on all of [0, 1): quadratic self-coupling alone
+    always makes the bifurcation subcritical.  The b^2 scale is left to the
+    caller: mu2 = (xi_xx^2 / b^2) g_tilde(eps) for a purely quadratic model.
     """
-    one_e2, ck, ht = _eps_parts(epsilon)
-    e = epsilon
-    num = ck * (12 * e - 18) + ht * (8 * e * e - 18 * e + 4)
-    return num / ((1 + e) * one_e2 * ht * (5 - 4 * e))
+    return mu2_closed_form(TaylorCoefficients(
+        xi_x=-_checked_epsilon(epsilon), xi_y=-1.0, xi_xx=1.0))
 
 
 def h_tilde(epsilon: float) -> float:
-    """Cubic-coupling shape function; h_tilde(0) = -6/pi."""
-    one_e2, ck, ht = _eps_parts(epsilon)
-    return (-3.0 * ck - 3.0 * epsilon * ht) / (one_e2 * ht)
+    """Cubic-coupling shape function, h_tilde(0) = -6/pi: mu2_closed_form at
+    b = 1, a = epsilon with xi_xxx = 1 its one nonlinear coefficient."""
+    return mu2_closed_form(TaylorCoefficients(
+        xi_x=-_checked_epsilon(epsilon), xi_y=-1.0, xi_xxx=1.0))
 
 
 def mu2_cubic_specialization(coeffs: TaylorCoefficients) -> float:
     """mu2 for coefficient sets with only xi_xx and xi_xxx nonzero.
 
-    Equals (xi_xx^2 / b^2) g_tilde(eps) + (xi_xxx / b) h_tilde(eps), and
-    matches mu2_closed_form on such sets.
+    Equals (xi_xx^2 / b^2) g_tilde(eps) + (xi_xxx / b) h_tilde(eps):
+    mu2_closed_form on coeffs with every other nonlinear coefficient zeroed.
     """
-    b, e, xx, xxx = coeffs.b, coeffs.epsilon, coeffs.xi_xx, coeffs.xi_xxx
-    return _normal(xx * xx / b / b * g_tilde(e) + xxx / b * h_tilde(e), xx == xxx == 0.0)
+    return mu2_closed_form(TaylorCoefficients(
+        xi_x=coeffs.xi_x, xi_y=coeffs.xi_y, xi_xx=coeffs.xi_xx, xi_xxx=coeffs.xi_xxx))
 
 
 def mu2_quadratic_specialization(coeffs: TaylorCoefficients) -> float:
-    """mu2 for unit quadratic self-coupling: g_tilde(eps)/b^2, always < 0."""
-    return _normal(g_tilde(coeffs.epsilon) / coeffs.b / coeffs.b)
+    """mu2 for unit quadratic self-coupling, g_tilde(eps)/b^2 < 0: mu2_closed_form
+    at the a and b of coeffs with xi_xx = 1 the only nonlinear coefficient."""
+    return mu2_closed_form(TaylorCoefficients(xi_x=coeffs.xi_x, xi_y=coeffs.xi_y, xi_xx=1.0))
 
 
 def nicholson_mu2_shape(epsilon: float, x0_size: float = 1.0) -> float:

@@ -13,7 +13,7 @@ import ast
 import functools
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .errors import InvalidSpec, InvariantViolation, NoEquilibrium
 
@@ -244,6 +244,7 @@ class _DelayedPolynomial(ModelSpec):
     tau: float
 
     def __post_init__(self):
+        _require_finite(self)
         if self.k <= 0.0:
             raise InvalidSpec(f"k > 0 required, got k = {self.k}")
         if self.k <= self.mu:
@@ -346,6 +347,7 @@ class Nicholson(ModelSpec):
     expression = "-gamma * x + p_rate * y * exp(-y / x0_size)"
 
     def __post_init__(self):
+        _require_finite(self)
         if self.gamma <= 0.0 or self.p_rate <= 0.0 or self.x0_size <= 0.0:
             raise InvalidSpec("gamma, p_rate, x0_size must all be positive")
         if self.p_rate <= math.e * self.gamma:
@@ -426,6 +428,14 @@ def _normal(value: float, exact_zero: bool = False, name: str = "mu2") -> float:
     if abs(value) < math.inf and (abs(value) >= sys.float_info.min or exact_zero):
         return value
     raise InvalidSpec(f"{name} = {value!r} is outside the normal float range")
+
+
+def _require_finite(spec) -> None:
+    """InvalidSpec naming the first field of spec that is NaN or infinite."""
+    for field in fields(spec):
+        value = getattr(spec, field.name)
+        if not math.isfinite(value):
+            raise InvalidSpec(f"{field.name} must be finite, got {value!r}")
 
 
 def _checked(spec) -> ModelSpec:

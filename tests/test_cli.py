@@ -360,6 +360,60 @@ def test_empty_sweep_grid(tmp_path, capsys):
     assert "empty sweep grid" in err
 
 
+@pytest.mark.parametrize("command", ["analyze", "simulate"])
+@pytest.mark.parametrize("ini, field", [
+    (CUBIC_INI.replace("tau = 0.187", "tau = inf"), "tau"),
+    (CUBIC_INI.replace("lam = -7.0", "lam = nan"), "lam"),
+    (NICHOLSON_INI.replace("tau = 1.0", "tau = nan") + "[sim]\neta = 1.0\nx_init = 3.0\nt_end = 10.0\n",
+     "tau"),
+    (NICHOLSON_INI.replace("p_rate = 50.0", "p_rate = -inf") + "[sim]\neta = 1.0\nx_init = 3.0\nt_end = 10.0\n",
+     "p_rate"),
+], ids=["cubic-tau-inf", "cubic-lam-nan", "nicholson-tau-nan", "nicholson-p_rate-neg-inf"])
+def test_non_finite_model_field_exits_3(tmp_path, capsys, command, ini, field):
+    # simulate had exited 1 with a traceback from round(tau / dt)
+    code, stdout, err, out = _run(tmp_path, capsys, command, ini=ini)
+    assert code == 3
+    assert err.startswith(f"error: {field} must be finite")
+    assert stdout == ""
+    assert not (out / "trajectory.csv").exists()
+
+
+def test_sim_step_from_config(tmp_path, capsys):
+    # dt = tau/50 gives t_end/dt steps and so t_end/dt + 1 samples
+    ini = CUBIC_INI.replace("tau = 0.187", "tau = 0.2") + "dt = 0.004\ntransient_fraction = 0.25\n"
+    code, _, _, out = _run(tmp_path, capsys, "simulate", ini=ini)
+    assert code == 0
+    lines = (out / "trajectory.csv").read_text().splitlines()
+    assert len(lines) == 1 + round(60.0 / 0.004) + 1
+    assert lines[2].startswith("0.004,")
+
+
+def test_sim_config_defaults_come_from_sim_config():
+    from delaybif import SimConfig
+    from delaybif.cli import _sim_config
+    cp = configparser.ConfigParser()
+    cp.read_string(CUBIC_INI)
+    assert _sim_config(cp) == SimConfig(eta=1.05, x_init=0.9, t_end=60.0)
+    cp.set("sim", "dt", "0.00187")
+    cp.set("sim", "transient_fraction", "0.25")
+    assert _sim_config(cp) == SimConfig(eta=1.05, x_init=0.9, t_end=60.0,
+                                        dt=0.00187, transient_fraction=0.25)
+
+
+@pytest.mark.parametrize("command, ini, message", [
+    ("simulate", CUBIC_INI + "dt = abc\n", "[sim] dt = 'abc' is not a number"),
+    ("sweep", CUBIC_INI + "[sweep]\naxis = tau\nstart = 0.01\nstop = 0.1\ncount = 2.5\n",
+     "[sweep] count = '2.5' is not an integer"),
+    ("analyze", CUBIC_INI.replace("k = 9.0", "k ="), "missing value for 'k' in [model]"),
+    ("simulate", CUBIC_INI.replace("x_init = 0.9", "x_init = "),
+     "missing value for 'x_init' in [sim]"),
+], ids=["dt", "count", "blank-model-key", "blank-sim-key"])
+def test_unparsable_number_is_a_config_error(tmp_path, capsys, command, ini, message):
+    code, _, err, _ = _run(tmp_path, capsys, command, ini=ini)
+    assert code == 2
+    assert err == f"config error: {message}\n"
+
+
 def test_invalid_model_maps_to_exit_3(tmp_path, capsys):
     ini = CUBIC_INI.replace("k = 9.0", "k = 0.5")
     code, _, err, _ = _run(tmp_path, capsys, "analyze", ini=ini)
@@ -478,7 +532,7 @@ def test_analysis_commands_do_not_import_numpy(tmp_path):
 
 
 def test_package_resolves_simulation_names():
-    from delaybif import ddesim
+    from delaybif import chareq, convergence, ddesim, errors, hopf, models
     from delaybif import SimConfig, integrate
     assert delaybif.Trajectory is ddesim.Trajectory
     assert SimConfig is ddesim.SimConfig and integrate is ddesim.integrate
@@ -487,6 +541,17 @@ def test_package_resolves_simulation_names():
     assert set(delaybif.__all__) <= set(namespace)
     with pytest.raises(AttributeError):
         delaybif.no_such_name
+    # the package surface is each module's own __all__, each name once
+    assert len(set(delaybif.__all__)) == len(delaybif.__all__)
+    expected = ["__version__"]
+    for module in (chareq, convergence, errors, hopf, models):
+        expected += module.__all__
+    expected += ["SimConfig", "Trajectory", "Verdict", "LimitCycleMetrics",
+                 "integrate", "metrics", "sweep_bifurcation"]
+    assert sorted(delaybif.__all__) == sorted(expected)
+    for module in (chareq, convergence, errors, hopf, models):
+        assert all(getattr(delaybif, name) is getattr(module, name)
+                   for name in module.__all__)
 
 
 def test_grid_matches_linspace():

@@ -235,6 +235,24 @@ def test_nicholson_rejects_subcritical_birth_rate():
         Nicholson(gamma=1.0, p_rate=-3.0, x0_size=1.0, tau=1.0)
 
 
+_VALID_FIELDS = {
+    CubicBD: dict(k=2.0, mu=1.0, lam=0.5, tau=1.0),
+    QuadraticBD: dict(k=6.0, mu=1.0, lam=-7.0, tau=0.5),
+    Nicholson: dict(gamma=1.0, p_rate=50.0, x0_size=1.0, tau=1.0),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("cls, field", [
+    (cls, field) for cls, fields in _VALID_FIELDS.items() for field in fields])
+def test_constructors_reject_non_finite_fields(cls, field, value):
+    # every comparison with NaN is false, and an infinite lam or tau passed
+    # the sign checks: CubicBD(lam=nan) had reported x_e = nan
+    cls(**_VALID_FIELDS[cls])
+    with pytest.raises(InvalidSpec, match=f"^{field} must be finite"):
+        cls(**{**_VALID_FIELDS[cls], field: value})
+
+
 
 @pytest.mark.parametrize("x0_size, name", [
     (1e200, "x0_size squared"),   # the square overflows
