@@ -246,19 +246,25 @@ def _phase_winding(A: float, B: float, tau: float,
     base = 16 + 8 * int(min(tau * (y1 - y0) / math.pi + (x1 - x0), 1 << 12))
     n = min(max(base, 32), 1 << 12)
     while True:
-        bottom = np.linspace(x0, x1, n, endpoint=False) + 1j * y0
-        right = x1 + 1j * np.linspace(y0, y1, n, endpoint=False)
-        top = np.linspace(x1, x0, n, endpoint=False) + 1j * y1
-        left = x0 + 1j * np.linspace(y1, y0, n, endpoint=False)
-        z = np.concatenate([bottom, right, top, left])
+        # each edge is numpy.linspace(start, stop, n, endpoint=False) bit for
+        # bit, which numpy computes as arange(n) * ((stop - start) / n) + start
+        # (except where that step underflows to 0, on sides below about
+        # 1e-321); one arange for all four edges saves most of a call's fixed
+        # cost, and the same samples give the same counts, so the same roots
+        k = np.arange(n, dtype=float)
+        bottom = (k * ((x1 - x0) / n) + x0) + 1j * y0
+        right = x1 + 1j * (k * ((y1 - y0) / n) + y0)
+        top = (k * ((x0 - x1) / n) + x1) + 1j * y1
+        left = x0 + 1j * (k * ((y0 - y1) / n) + y1)
+        z = np.concatenate((bottom, right, top, left))
         g = z + A + B * np.exp(-z * tau)
-        if np.min(np.abs(g)) < 1e-13 * (1.0 + abs(A) + abs(B)):
+        if np.abs(g).min() < 1e-13 * (1.0 + abs(A) + abs(B)):
             raise _OnContour
-        rot = g / np.roll(g, 1)
-        steps = np.angle(rot)
-        if np.max(np.abs(steps)) < 0.5 * math.pi:
-            total = float(np.sum(steps))
-            return int(round(total / (2.0 * math.pi)))
+        # steps[i] is the phase turn from sample i - 1 to sample i
+        rot = g / np.concatenate((g[-1:], g[:-1]))
+        steps = np.arctan2(rot.imag, rot.real)
+        if np.abs(steps).max() < 0.5 * math.pi:
+            return int(round(float(steps.sum()) / (2.0 * math.pi)))
         if n >= 1 << 15:
             raise NoConvergence(
                 "winding-number sampling did not resolve the boundary phase")
@@ -274,7 +280,7 @@ def _winding(A, B, tau, x0, x1, y0, y1):
     for bump in (0.0, 3.1e-7, -2.3e-7, 7.7e-7):
         try:
             return _phase_winding(A, B, tau, x0 + bump, x1 + bump,
-                                  y0 + bump, y1 + bump), bump
+                                  y0 + bump, y1 + bump)
         except _OnContour:
             continue
     raise NoConvergence("could not place a root-free contour")
@@ -304,8 +310,8 @@ def _newton(A: float, B: float, tau: float, seed: complex):
     return None
 
 
-def _collect_roots(A, B, tau, x0, x1, y0, y1, found, depth=0):
-    n, _ = _winding(A, B, tau, x0, x1, y0, y1)
+def _collect_roots(A, B, tau, x0, x1, y0, y1, found):
+    n = _winding(A, B, tau, x0, x1, y0, y1)
     if n <= 0:
         return
     size = max(x1 - x0, y1 - y0)
@@ -334,12 +340,12 @@ def _collect_roots(A, B, tau, x0, x1, y0, y1, found, depth=0):
     # split the longer side, slightly off center so roots avoid the cut
     if (x1 - x0) >= (y1 - y0):
         xm = x0 + 0.5137 * (x1 - x0)
-        _collect_roots(A, B, tau, x0, xm, y0, y1, found, depth + 1)
-        _collect_roots(A, B, tau, xm, x1, y0, y1, found, depth + 1)
+        _collect_roots(A, B, tau, x0, xm, y0, y1, found)
+        _collect_roots(A, B, tau, xm, x1, y0, y1, found)
     else:
         ym = y0 + 0.5137 * (y1 - y0)
-        _collect_roots(A, B, tau, x0, x1, y0, ym, found, depth + 1)
-        _collect_roots(A, B, tau, x0, x1, ym, y1, found, depth + 1)
+        _collect_roots(A, B, tau, x0, x1, y0, ym, found)
+        _collect_roots(A, B, tau, x0, x1, ym, y1, found)
 
 
 def _register(found: list, lam: complex, residual: float) -> bool:

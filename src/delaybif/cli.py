@@ -33,7 +33,6 @@ from .hopf import (
     h_tilde,
     mu2_center_manifold,
     mu2_closed_form,
-    mu2_cubic_specialization,
     nicholson_mu2,
     nicholson_mu2_shape,
 )
@@ -291,7 +290,7 @@ def _cmd_sweep(cp, outdir: str, fmt: str) -> int:
             if isinstance(model, Nicholson):
                 mu2 = nicholson_mu2_shape(eps, model.x0_size)
             else:
-                mu2 = mu2_cubic_specialization(
+                mu2 = mu2_closed_form(
                     dataclasses.replace(coeffs, xi_x=-eps * coeffs.b))
             rows.append([eps, gt, ht, mu2])
         stem = "nicholson_mu2" if isinstance(model, Nicholson) else "gtilde"

@@ -288,6 +288,95 @@ def test_root_sign_matches_verdict_on_samples():
         checked += 1
 
 
+def _lambert_roots(coeffs, eta, region):
+    """Every root in region with Im >= 0, rightmost first, and the distance
+    from the boundary to the nearest root inside or outside it.
+
+    The roots are -A + W_k(z)/tau with z = -B tau e^(A tau), A = eta*a,
+    B = eta*b; Im W_k lies in ((2|k| - 2)pi, (2|k| + 1)pi), so branches
+    |k| <= K reach past the top of the region.
+    """
+    special = pytest.importorskip("scipy.special")
+    A, B, tau = eta * coeffs.a, eta * coeffs.b, coeffs.tau
+    z = -B * tau * math.exp(A * tau)
+    K = int(tau * region.im_max / (2.0 * math.pi)) + 2
+    inside, clearance = [], math.inf
+    for k in range(-K, K + 1):
+        lam = -A + complex(special.lambertw(z, k)) / tau
+        dx = max(region.re_min - lam.real, lam.real - region.re_max)
+        dy = abs(lam.imag) - region.im_max
+        d = max(dx, dy)
+        clearance = min(clearance, -d if d < 0 else math.hypot(max(dx, 0.0), max(dy, 0.0)))
+        if d < 0 and lam.imag >= 0.0:
+            inside.append(lam)
+    return sorted(inside, key=lambda lam: (-lam.real, lam.imag)), clearance
+
+
+def _assert_complete(coeffs, eta, region):
+    truth, _ = _lambert_roots(coeffs, eta, region)
+    got = rightmost_roots(coeffs, eta, search=region)
+    assert len(got) == len(truth)
+    for r, lam in zip(got, truth):
+        assert abs(complex(r.re, r.im) - lam) < 1e-9
+
+
+def test_root_search_is_complete_on_samples():
+    # the default region and a wider one holding two more branches, against
+    # the Lambert-W roots; draws with a root near the boundary are skipped,
+    # since a winding count there is ill-conditioned
+    rng = np.random.default_rng(2006)
+    checked = 0
+    while checked < 24:
+        a = float(rng.uniform(0.0, 2.0))
+        b = float(rng.uniform(a + 0.2, a + 2.5))
+        tau = float(rng.uniform(0.05, 2.0))
+        eta = float(rng.uniform(0.1, 2.5))
+        c = TaylorCoefficients(xi_x=-a, xi_y=-b, tau=tau)
+        region = RootSearchRegion.default_for(c, eta)
+        if checked % 2:
+            region = RootSearchRegion(re_min=region.re_min - 2.0, re_max=region.re_max,
+                                      im_max=region.im_max + 4.0 * math.pi / tau)
+        if _lambert_roots(c, eta, region)[1] < 0.05:
+            continue
+        _assert_complete(c, eta, region)
+        checked += 1
+
+
+# tau*height = 6500: on the left edge, where the delayed exponential
+# dominates G, the phase turns by tau*height/4096 > pi/2 between samples at
+# the initial cap of 4096 per side, so the sampling must double
+_TALL = (TaylorCoefficients(xi_x=0.0, xi_y=-1.0, tau=0.5),
+         RootSearchRegion(re_min=-7.0, re_max=1.0, im_max=6500.0))
+
+
+def test_root_search_is_complete_in_a_tall_region():
+    c, region = _TALL
+    truth, clearance = _lambert_roots(c, 1.0, region)
+    assert len(truth) == 3 and clearance > 0.25
+    _assert_complete(c, 1.0, region)
+
+
+def test_tall_region_doubles_the_boundary_sampling(monkeypatch):
+    # each pass of the sampling loop evaluates G once, by one np.exp
+    from delaybif import chareq
+    passes = []
+    winding, exp = chareq._phase_winding, np.exp
+
+    def counted_winding(*args):
+        passes.append(0)
+        return winding(*args)
+
+    def counted_exp(x):
+        passes[-1] += 1
+        return exp(x)
+
+    monkeypatch.setattr(chareq, "_phase_winding", counted_winding)
+    monkeypatch.setattr(np, "exp", counted_exp)
+    c, region = _TALL
+    rightmost_roots(c, 1.0, search=region)
+    assert passes[0] > 1
+
+
 @pytest.mark.parametrize("bounds", [
     dict(re_min=-1.0, re_max=0.5, im_max=-1.0),
     dict(re_min=-1.0, re_max=0.5, im_max=0.0),

@@ -14,7 +14,9 @@ import pytest
 import delaybif
 from delaybif import (
     CubicBD,
+    TaylorCoefficients,
     __version__,
+    mu2_closed_form,
     mu2_cubic_specialization,
     taylor_coefficients,
 )
@@ -142,6 +144,40 @@ def test_sweep_epsilon_shape_table(tmp_path, capsys):
         expect = mu2_cubic_specialization(
             dataclasses.replace(coeffs, xi_x=-eps * coeffs.b))
         assert mu2 == pytest.approx(expect, rel=1e-12)
+
+
+def test_sweep_epsilon_generic_keeps_every_coefficient(tmp_path, capsys):
+    # the mu2 column is the closed form of the epsilon-shifted set, mixed and
+    # delayed-only terms included, not the cubic specialization
+    ini = textwrap.dedent("""\
+        [model]
+        variant = generic
+        xi_x = -0.5
+        xi_y = -2.0
+        xi_xx = 0.3
+        xi_xy = -0.2
+        xi_yy = 0.1
+        xi_xxx = -1.0
+        xi_xyy = 0.05
+        tau = 1.0
+
+        [sweep]
+        axis = epsilon
+        start = 0.02
+        stop = 0.5
+        count = 3
+        """)
+    code, _, _, out = _run(tmp_path, capsys, "sweep", ini=ini)
+    assert code == 0
+    coeffs = TaylorCoefficients(xi_x=-0.5, xi_y=-2.0, xi_xx=0.3, xi_xy=-0.2,
+                                xi_yy=0.1, xi_xxx=-1.0, xi_xyy=0.05, tau=1.0)
+    rows = [line.split(",") for line in (out / "gtilde.csv").read_text().splitlines()[1:]]
+    assert [float(r[0]) for r in rows] == [0.02, 0.26, 0.5]
+    for eps, _, _, mu2 in rows:
+        shifted = dataclasses.replace(coeffs, xi_x=-float(eps) * coeffs.b)
+        assert float(mu2) == mu2_closed_form(shifted)
+    # the cubic specialization gave 0.93940 here
+    assert float(rows[0][3]) == pytest.approx(0.93536, abs=5e-6)
 
 
 def test_sweep_epsilon_nicholson(tmp_path, capsys):
