@@ -89,9 +89,12 @@ class RootSearchRegion:
     def default_for(cls, coeffs: TaylorCoefficients, eta: float) -> "RootSearchRegion":
         # The rightmost root always satisfies Re >= -(eta*a + 1/tau) and
         # Re <= eta*(b - a); its imaginary part sits on the principal branch,
-        # |Im| < pi/tau.  Margins keep roots off the contour.
+        # |Im| < pi/tau.  Without a delay the one root is -eta*(a + b).
+        # Margins keep roots off the contour.
         _require_gain(eta)
         a, b, tau = coeffs.a, coeffs.b, coeffs.tau
+        if tau == 0.0:
+            return cls(re_min=-eta * (a + b) - 0.5, re_max=eta * (b - a) + 0.5, im_max=1.0)
         re_min = -(eta * a + 1.0 / tau) - 0.5
         re_max = eta * (b - a) + 0.5
         im_max = max(2.0 * eta * b, 1.05 * math.pi / tau) + 1.0

@@ -141,6 +141,9 @@ def integrate(spec: ModelSpec, config: SimConfig) -> Trajectory:
 
     Raises
     ------
+    InvalidSpec
+        If tau = 0 (a Generic model's coefficients allow it), checked
+        before the step.
     StepTooLarge
         If dt > tau/20.
     InvalidSpec
@@ -151,6 +154,8 @@ def integrate(spec: ModelSpec, config: SimConfig) -> Trajectory:
         (finite prefix) is attached to the exception as .trajectory.
     """
     tau = delay_of(spec)
+    if not tau > 0.0:
+        raise InvalidSpec("integrate needs tau > 0")
     dt = _step(config, tau)
     if dt > tau / 20.0 * (1.0 + 1e-12):
         raise StepTooLarge(

@@ -113,8 +113,11 @@ class ModelSpec:
     stage, its delay-only terms evaluated once per delayed value, each
     Hermite midpoint of the history built once, when its right node lands,
     and a stop where the run has settled on a bit-exact nonzero constant;
-    eta and the constants are arguments, never source.  Module-level
-    functions of the same names check for a ModelSpec once and delegate.
+    eta and the constants are arguments, never source.  Write f Horner in
+    x and group its x-free part, as the built-in models do: the kernel
+    then takes that part as one term per delayed value, and each stage
+    costs two operations per degree in x.  Module-level functions of the
+    same names check for a ModelSpec once and delegate.
     """
 
     expression: str
@@ -257,11 +260,12 @@ class _DelayedPolynomial(ModelSpec):
 class CubicBD(_DelayedPolynomial):
     """Delayed cubic oscillator x' = -(x^3 - mu*x + lam) - k*x(t-tau).
 
-    Its equilibrium is the unique real root of x^3 + (k - mu) x + lam.
+    Its expression is that polynomial as x(mu - x^2) - (lam + k y).  Its
+    equilibrium is the unique real root of x^3 + (k - mu) x + lam.
     """
 
     variant = "cubic"
-    expression = "-(x * x * x - mu * x + lam) - k * y"
+    expression = "x * (mu - x * x) - (lam + k * y)"
 
     def equilibrium(self) -> EquilibriumReport:
         # x^3 + c1 x + lam increases strictly (c1 = k - mu > 0), so bisection
@@ -303,13 +307,14 @@ class CubicBD(_DelayedPolynomial):
 class QuadraticBD(_DelayedPolynomial):
     """Delayed quadratic oscillator x' = -(x^2 - mu*x + lam) - k*x(t-tau).
 
-    Of its up to two equilibria the larger root is preferred, falling back
-    to the smaller one if only that one yields an analyzable linearization
+    Its expression is that polynomial as x(mu - x) - (lam + k y).  Of its
+    up to two equilibria the larger root is preferred, falling back to the
+    smaller one if only that one yields an analyzable linearization
     (a >= 0 and b > a).
     """
 
     variant = "quadratic"
-    expression = "-(x * x - mu * x + lam) - k * y"
+    expression = "x * (mu - x) - (lam + k * y)"
 
     def equilibrium(self) -> EquilibriumReport:
         for x in quadratic_roots(self):
@@ -335,6 +340,8 @@ class QuadraticBD(_DelayedPolynomial):
 class Nicholson(ModelSpec):
     """Nicholson blowflies equation N' = -gamma*N + p*N_d*exp(-N_d/x0).
 
+    Its expression, p*N_d*exp(-N_d/x0) - gamma*N, rounds bit for bit as
+    the equation is written: IEEE addition commutes, and (-g)*N is -(g*N).
     Its positive equilibrium is N* = x0 * ln(p/gamma).
     """
 
@@ -344,7 +351,7 @@ class Nicholson(ModelSpec):
     tau: float
 
     variant = "nicholson"
-    expression = "-gamma * x + p_rate * y * exp(-y / x0_size)"
+    expression = "p_rate * y * exp(-y / x0_size) - gamma * x"
 
     def __post_init__(self):
         _require_finite(self)
@@ -380,17 +387,20 @@ class Nicholson(ModelSpec):
 class Generic(ModelSpec):
     """A model given directly by its Taylor coefficients (deviation form).
 
-    The right-hand side is the cubic Taylor polynomial itself, with
-    equilibrium at u = 0.  Useful for linear decay benchmarks and for
-    feeding arbitrary coefficient sets to the simulator.
+    The right-hand side is the cubic Taylor polynomial itself, written
+    Horner in x, with equilibrium at u = 0.  Useful for linear decay
+    benchmarks and for feeding arbitrary coefficient sets to the simulator.
     """
 
     coeffs: TaylorCoefficients
 
     variant = "generic"
-    # the Taylor polynomial in Horner form: its x-only, y-only and mixed terms
-    expression = ("x * (xi_x + x * (xi_xx + xi_xxx * x)) + y * (xi_y + y * (xi_yy + xi_yyy * y))"
-                  " + x * y * (xi_xy + xi_xxy * x + xi_xyy * y)")
+    # the Taylor polynomial Horner in x, each coefficient of a power of x
+    # Horner in y: the kernel takes the y-only term and the two x-free
+    # coefficients once per delayed value, leaving _d0 + x*(_d1 + x*(_d2 +
+    # xi_xxx*x)) per stage
+    expression = ("y * (xi_y + y * (xi_yy + xi_yyy * y)) + x * (xi_x + y * (xi_xy + xi_xyy * y)"
+                  " + x * (xi_xx + xi_xxy * y + xi_xxx * x))")
 
     @property
     def tau(self) -> float:

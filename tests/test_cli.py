@@ -358,6 +358,39 @@ def test_roots_overflowing_search_exits_cleanly(tmp_path, capsys):
     assert code == 0 or stderr.startswith("error:")
 
 
+ZERO_DELAY_INI = textwrap.dedent("""\
+    [model]
+    variant = generic
+    xi_x = -0.5
+    xi_y = -1.0
+    tau = 0.0
+
+    [sim]
+    eta = 1.0
+    x_init = 0.1
+    t_end = 10.0
+    """)
+
+
+def test_roots_without_delay_is_the_one_real_root(tmp_path, capsys):
+    code, stdout, stderr, out = _run(tmp_path, capsys, "roots", ini=ZERO_DELAY_INI)
+    assert (code, stderr) == (0, "")
+    # -eta*(a + b) at eta = 1
+    assert stdout == "-1.5,0.0,0.0\n"
+    assert (out / "roots.csv").read_text() == "re,im,residual\n-1.5,0.0,0.0\n"
+
+
+@pytest.mark.parametrize("command, ini", [
+    ("simulate", ZERO_DELAY_INI),
+    ("sweep", ZERO_DELAY_INI + "[sweep]\naxis = eta\nstart = 0.5\nstop = 1.0\ncount = 2\n"),
+], ids=["simulate", "sweep-eta"])
+def test_simulating_without_delay_exits_3(tmp_path, capsys, command, ini):
+    code, stdout, stderr, out = _run(tmp_path, capsys, command, ini=ini)
+    assert code == 3
+    assert stderr == "error: integrate needs tau > 0\n"
+    assert stdout == ""
+
+
 # --- failure modes ---------------------------------------------------------
 
 def test_missing_config_file(tmp_path, capsys):

@@ -76,6 +76,15 @@ def test_integrate_rejects_a_step_count_beyond_an_index():
     with pytest.raises(InvalidSpec, match="more than a list can index"):
         integrate(_wright_model(), cfg)
 
+
+@pytest.mark.parametrize("dt", [None, 0.01])
+def test_integrate_rejects_zero_delay(dt):
+    # the coefficients allow tau = 0; the delay is checked before the step
+    spec = Generic(TaylorCoefficients(xi_x=-0.5, xi_y=-1.0, tau=0.0))
+    with pytest.raises(InvalidSpec, match="integrate needs tau > 0"):
+        integrate(spec, SimConfig(eta=1.0, x_init=0.1, t_end=10.0, dt=dt))
+
+
 def test_default_step_resolves_delay():
     traj = integrate(_wright_model(),
                      SimConfig(eta=1.0, x_init=1.0, t_end=50.0))

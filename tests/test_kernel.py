@@ -8,10 +8,12 @@ samples with it.  It is pinned bit for bit to the loop it replaced, which
 called the closure spec.field(eta) at every stage and ran every step; that
 loop is kept here as the oracle.
 """
+import ast
 import math
 import random
 import sys
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -35,6 +37,7 @@ from delaybif import (
     rate_of_convergence,
 )
 
+from delaybif import models
 from delaybif.ddesim import DIVERGENCE_THRESHOLD
 
 
@@ -187,6 +190,79 @@ def test_nan_stage_ends_as_divergence(m):
     with pytest.raises(Divergence):
         integrate(spec, config)
     assert _assert_bit_identical(spec, config).tolist() == [1e3]
+
+
+@pytest.mark.parametrize("cls, degree", [
+    (CubicBD, 3), (QuadraticBD, 2), (Generic, 3), (Nicholson, 1),
+], ids=lambda p: getattr(p, "variant", p))
+def test_per_stage_part_is_horner_in_x(cls, degree):
+    # what the kernel evaluates at every stage, once the terms that read y
+    # alone are taken per delayed value: Horner in x costs 2 operations a
+    # degree
+    stage = models._DelayTerms().visit(ast.parse(cls.expression, mode="eval"))
+    nodes = list(ast.walk(stage))
+    assert "y" not in {node.id for node in nodes if isinstance(node, ast.Name)}
+    assert sum(isinstance(node, (ast.BinOp, ast.UnaryOp)) for node in nodes) <= 2 * degree
+
+
+def _documented_terms(spec, x, y):
+    """The monomials of f as each class documents it, exact in the float
+    inputs."""
+    x, y = Fraction(x), Fraction(y)
+    if isinstance(spec, Generic):
+        c = {name: Fraction(value) for name, value in spec.constants().items()}
+        return [c["xi_x"] * x, c["xi_y"] * y, c["xi_xx"] * x ** 2, c["xi_xy"] * x * y,
+                c["xi_yy"] * y ** 2, c["xi_xxx"] * x ** 3, c["xi_xxy"] * x ** 2 * y,
+                c["xi_xyy"] * x * y ** 2, c["xi_yyy"] * y ** 3]
+    power = 3 if isinstance(spec, CubicBD) else 2
+    # x' = -(x^p - mu*x + lam) - k*x(t - tau)
+    return [-x ** power, Fraction(spec.mu) * x, -Fraction(spec.lam), -Fraction(spec.k) * y]
+
+
+def _points(rng, x_e):
+    """States and delayed states from 1e-6 to 1e6 in size, of either sign,
+    and within 1e-9 relative of the equilibrium, where f cancels to 0."""
+    for _ in range(25):
+        yield tuple(rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-6.0, 6.0) for _ in "xy")
+        yield tuple(x_e * (1.0 + rng.uniform(-1e-9, 1e-9)) + rng.uniform(-1e-12, 1e-12)
+                    for _ in "xy")
+
+
+@pytest.mark.parametrize("variant", ["cubic", "quadratic", "generic"])
+def test_field_is_the_documented_polynomial(variant):
+    # eta * f computed exactly from the same floats: at most 8 roundings
+    # (generic's xi_xyy*x*y^2, through d1, x, d0 and eta) lie between an
+    # input and the result, each of at most half an ulp of a partial sum
+    # no larger than eta times the sum of |terms|
+    rng = random.Random(f"algebra-{variant}")
+    for _ in range(20):
+        spec, eta, _ = _seeded(variant, rng)
+        f = spec.field(eta)
+        x_e = quadratic_roots(spec)[0] if variant == "quadratic" else spec.equilibrium().x_e
+        for x, y in _points(rng, x_e):
+            terms = _documented_terms(spec, x, y)
+            scale = float(Fraction(eta) * sum(map(abs, terms)))
+            error = abs(Fraction(f(x, y)) - Fraction(eta) * sum(terms))
+            assert error <= 8 * math.ulp(scale), (spec, eta, x, y)
+
+
+def test_nicholson_field_is_the_negated_form_bit_for_bit():
+    # a - g*x and -g*x + a round alike: IEEE addition commutes and
+    # (-g)*x == -(g*x)
+    rng = random.Random("algebra-nicholson")
+    for _ in range(20):
+        spec, eta, _ = _seeded("nicholson", rng)
+        f = spec.field(eta)
+        scope = dict(spec.constants(), exp=math.exp, eta=eta)
+        for x, y in _points(rng, spec.equilibrium().x_e):
+            try:
+                want = eval("eta * (-gamma * x + p_rate * y * exp(-y / x0_size))",
+                            dict(scope, x=x, y=y))
+            except OverflowError:
+                with pytest.raises(OverflowError):
+                    f(x, y)
+                continue
+            assert f(x, y) == want
 
 
 @dataclass(frozen=True)
