@@ -6,17 +6,18 @@ deterministic artifacts into the output directory: identical configs give
 byte-identical files.  Every command also writes a manifest.json echoing
 the parsed config and the tool version.
 
-Exit codes: 0 success, 2 config problem (unreadable, unparsable, missing
-keys, empty grid), 3 model or analysis invariant violation, 4 divergence
-during simulation (the partial trajectory is still written).
+Exit codes: 0 success, 2 config or output problem (unreadable, unparsable,
+missing keys, empty grid, an output directory or file that cannot be
+written), 3 model or analysis invariant violation, 4 divergence during
+simulation (the partial trajectory is still written).
 """
 from __future__ import annotations
 
 import argparse
 import configparser
-import csv
 import dataclasses
 import enum
+import itertools
 import json
 import math
 import os
@@ -186,21 +187,25 @@ def _json_text(data) -> str:
                       allow_nan=False) + "\n"
 
 
-def _write_json(outdir: str, name: str, data) -> str:
+def _write(outdir: str, name: str, text: str) -> str:
+    """The one artifact writer: text into outdir/name, as is; a file that
+    cannot be written is a config problem, exit code 2."""
     path = os.path.join(outdir, name)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(_json_text(data))
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise _ConfigError(f"cannot write {path!r}: {exc}")
     return name
 
 
 def _write_csv(outdir: str, name: str, header: list, rows) -> str:
-    """Rows of plain Python values; floats are written by their repr."""
-    path = os.path.join(outdir, name)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-    return name
+    """Rows of plain Python values, floats by their repr, none needing
+    quotes: the bytes csv.writer gives with a newline terminator, in one
+    join."""
+    line = ",".join(["{}"] * len(header)) + "\n"
+    return _write(outdir, name, line.format(*header)
+                  + "".join(itertools.starmap(line.format, rows)))
 
 
 def _write_table(outdir, stem, header, rows, fmt) -> str:
@@ -208,7 +213,7 @@ def _write_table(outdir, stem, header, rows, fmt) -> str:
     if fmt == "csv":
         return _write_csv(outdir, stem + ".csv", header, rows)
     records = [dict(zip(header, row)) for row in rows]
-    return _write_json(outdir, stem + ".json", records)
+    return _write(outdir, stem + ".json", _json_text(records))
 
 
 def _write_manifest(outdir: str, command: str, cp, outputs: list) -> None:
@@ -218,7 +223,7 @@ def _write_manifest(outdir: str, command: str, cp, outputs: list) -> None:
         "config": {s: dict(cp.items(s)) for s in cp.sections()},
         "outputs": sorted(outputs),
     }
-    _write_json(outdir, "manifest.json", manifest)
+    _write(outdir, "manifest.json", _json_text(manifest))
 
 
 # ---------------------------------------------------------------------------
@@ -251,9 +256,8 @@ def _cmd_analyze(cp, outdir: str, fmt: str) -> int:
     if isinstance(model, Nicholson):
         report["nicholson_mu2"] = nicholson_mu2(model)
     text = _json_text(report)
+    _write_manifest(outdir, "analyze", cp, [_write(outdir, "analyze.json", text)])
     sys.stdout.write(text)
-    name = _write_json(outdir, "analyze.json", report)
-    _write_manifest(outdir, "analyze", cp, [name])
     return 0
 
 
@@ -311,11 +315,9 @@ def _cmd_simulate(cp, outdir: str, fmt: str) -> int:
     except Divergence as exc:
         traj, failure = exc.trajectory, exc
     m = metrics(traj)
-    # the bytes csv.writer gave, floats by their repr, joined in one pass
-    rows = zip(traj.times.tolist(), traj.values.tolist())
-    with open(os.path.join(outdir, "trajectory.csv"), "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("t,x\n" + "".join([f"{t!r},{x!r}\n" for t, x in rows]))
-    outputs = ["trajectory.csv", _write_json(outdir, "metrics.json", m)]
+    outputs = [_write_csv(outdir, "trajectory.csv", ["t", "x"],
+                          zip(traj.times.tolist(), traj.values.tolist())),
+               _write(outdir, "metrics.json", _json_text(m))]
     _write_manifest(outdir, "simulate", cp, outputs)
     if failure is not None:
         sys.stderr.write(f"error: {failure}\n")

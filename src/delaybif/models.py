@@ -111,7 +111,8 @@ class ModelSpec:
     the expression gives ``field(eta)``, the closure ``f(x, x_delayed)`` of
     eta times f, and the RK4 kernel run by ``rk4``, with f inlined at every
     stage, its delay-only terms evaluated once per delayed value, each
-    Hermite midpoint of the history built once, when its right node lands,
+    Hermite midpoint of the history built once, when its right node lands
+    (x_init throughout the first delay, where the history is constant),
     and a stop where the run has settled on a bit-exact nonzero constant;
     eta and the constants are arguments, never source.  Write f Horner in
     x and group its x-free part, as the built-in models do: the kernel
@@ -154,25 +155,13 @@ def kernel(_x0, _n, _m, _dt, eta, _limit, *, {params}exp=exp):
     try:
         {d}
         _k1 = eta * ({f})
-        # the first delay: every delayed read falls in the constant history
-        for _i in range(min(_m, _n)):
-            x = _x + _half * _k1
-            _k2 = eta * ({f})
-            x = _x + _half * _k2
-            _k3 = eta * ({f})
-            x = _x + _dt * _k3
-            _k4 = eta * ({f})
-            x = _x + _sixth * (_k1 + 2.0 * (_k2 + _k3) + _k4)
-            if not _floor <= x <= _limit:
-                return _xs, _i
-            _xs[_i + 1] = x
-            _fn = eta * ({f})
-            _ys[_i] = 0.5 * (_x + x) + _eighth * (_k1 - _fn)
-            _x, _k1 = x, _fn
-        for _start in range(_m, _n, _m):
+        for _start in range(0, _n, _m):
             _end = min(_start + _m, _n)
-            for _i, y, _y_node in zip(range(_start, _end), _ys[_start - _m:_end - _m],
-                                      _xs[_start - _m + 1:_end - _m + 1]):
+            if _start:
+                _mids, _nodes = _ys[_start - _m:_end - _m], _xs[_start - _m + 1:_end - _m + 1]
+            else:  # the constant history: f' = 0, so its midpoints are _x0 too
+                _mids = _nodes = [_x0] * _end
+            for _i, y, _y_node in zip(range(_start, _end), _mids, _nodes):
                 {d}
                 x = _x + _half * _k1
                 _k2 = eta * ({f})

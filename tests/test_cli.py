@@ -1,7 +1,10 @@
 """End-to-end CLI tests: config parsing, outputs, exit codes, determinism."""
 import configparser
+import csv
 import dataclasses
+import io
 import json
+import math
 import os
 import random
 import subprocess
@@ -20,6 +23,7 @@ from delaybif import (
     mu2_cubic_specialization,
     taylor_coefficients,
 )
+from delaybif import cli
 from delaybif.cli import _grid, main
 
 from _oracles import EX1_ETA_C
@@ -674,3 +678,73 @@ def test_invalid_root_region_override_exits_3(tmp_path, capsys, override):
     assert code == 3
     assert err.startswith("error: root search region")
     assert not (out / "roots.csv").exists()
+
+
+# --- artifacts -------------------------------------------------------------
+
+_SHORT_INI = CUBIC_INI.replace("t_end = 60.0", "t_end = 12.0")
+
+
+@pytest.mark.parametrize("command, ini, artifact", [
+    ("analyze", CUBIC_INI, "analyze.json"),
+    ("analyze", CUBIC_INI, "manifest.json"),
+    ("sweep", CUBIC_INI + _sweep_ini("tau", 0.005, 0.18, 4), "roc_sweep.csv"),
+    ("simulate", _SHORT_INI, "trajectory.csv"),
+    ("roots", CUBIC_INI, "roots.csv"),
+], ids=["analyze", "manifest", "sweep", "simulate", "roots"])
+def test_unwritable_artifact_exits_2(tmp_path, capsys, command, ini, artifact):
+    # a directory stands where the artifact goes, so opening it fails
+    (tmp_path / "out" / artifact).mkdir(parents=True)
+    code, stdout, err, _ = _run(tmp_path, capsys, command, ini=ini)
+    assert code == 2
+    assert stdout == ""
+    assert err.startswith("config error: cannot write ")
+    assert artifact in err
+
+
+def _csv_writer_bytes(header, rows):
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return text.getvalue().encode()
+
+
+_CSV_TABLES = {
+    "tau": ("sweep", CUBIC_INI + _sweep_ini("tau", 0.005, 0.18, 36), "roc_sweep.csv"),
+    "eta": ("sweep", _SHORT_INI + _sweep_ini("eta", 0.9, 1.1, 3), "bifurcation.csv"),
+    "epsilon": ("sweep", CUBIC_INI + _sweep_ini("epsilon", 0.0, 0.9, 10), "gtilde.csv"),
+    "nicholson-epsilon": ("sweep", NICHOLSON_INI + _sweep_ini("epsilon", 0.05, 0.95, 7),
+                          "nicholson_mu2.csv"),
+    "roots": ("roots", CUBIC_INI, "roots.csv"),
+    "trajectory": ("simulate", _SHORT_INI, "trajectory.csv"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CSV_TABLES))
+def test_csv_table_is_what_csv_writer_writes(tmp_path, capsys, monkeypatch, name):
+    # the one CSV writer joins the values by str, which gives the bytes of
+    # csv.writer as long as no value needs quoting
+    command, ini, table = _CSV_TABLES[name]
+    written = {}
+
+    def spy(outdir, file, header, rows):
+        rows = [list(row) for row in rows]
+        written[file] = header, rows
+        return write_csv(outdir, file, header, rows)
+
+    write_csv = cli._write_csv
+    monkeypatch.setattr(cli, "_write_csv", spy)
+    code, _, _, out = _run(tmp_path, capsys, command, ini=ini)
+    assert code == 0
+    header, rows = written[table]
+    assert (out / table).read_bytes() == _csv_writer_bytes(header, rows)
+    values = [value for row in rows for value in row]
+    if name == "tau":
+        # sigma2 above tau*, sigma3 below it
+        assert {math.isinf(row[3]) for row in rows} == {True, False}
+        assert {math.isinf(row[4]) for row in rows} == {True, False}
+    if name in ("tau", "eta"):
+        assert any(isinstance(value, str) for value in values)
+    if name == "eta":
+        assert any(isinstance(value, float) and math.isnan(value) for value in values)

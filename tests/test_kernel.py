@@ -298,6 +298,21 @@ _SPECS = [
 ]
 
 
+@pytest.mark.parametrize("spec", _SPECS, ids=lambda spec: spec.variant)
+@pytest.mark.parametrize("m", [20, 50])
+@pytest.mark.parametrize("offset", [-13, 0, 1], ids=["n<m", "n=m", "n=m+1"])
+def test_first_delay_is_bit_identical(spec, m, offset):
+    # runs that end inside the first delay, at its end and one step after
+    # it: every delayed value the kernel reads is the constant history
+    dt = spec.tau / m
+    n = m + offset
+    x_init = spec.equilibrium().x_e + 0.1
+    want = np.array(_reference(spec, SimConfig(eta=0.5, x_init=x_init, t_end=n * dt, dt=dt)))
+    xs, i = spec.rk4(x_init, n, m, dt, 0.5, DIVERGENCE_THRESHOLD)
+    assert i == n == len(want) - 1
+    assert np.array(xs[:i + 1]).tobytes() == want.tobytes()
+
+
 def _python_calls(spec, t_end):
     calls = 0
 
@@ -432,3 +447,15 @@ def test_settled_run_stops_calling_f(f, eta, x_init, tau, m, t_end, stops):
     assert (g.calls < 4 * n + 1) == stops
     if stops:
         assert g.calls < 4 * n // 2
+
+
+def test_negative_zero_history_is_bit_identical():
+    # f reads the sign of the delayed state, so every delayed read of the
+    # first delay must be the history -0.0 itself, not 0.0
+    spec = _Counted(g=_Counter(lambda x, y: math.copysign(1.0, y) - x), tau=1.0)
+    m = 20
+    config = SimConfig(eta=0.5, x_init=-0.0, t_end=(m + 1) / m, dt=1.0 / m)
+    want = np.array(_reference(spec, config))
+    xs, i = spec.rk4(-0.0, m + 1, m, 1.0 / m, 0.5, DIVERGENCE_THRESHOLD)
+    assert i == m + 1 == len(want) - 1 and want[1] < 0.0
+    assert np.array(xs).tobytes() == want.tobytes()
