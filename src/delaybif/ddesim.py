@@ -5,10 +5,11 @@ fourth-order integrator, plus verdict extraction (equilibrium, limit cycle,
 divergence) from the resulting trajectory.  dt must divide tau; delayed
 values come from nodes and interval midpoints of the stored history, the
 midpoints by cubic Hermite interpolation.  Fixed stepping keeps runs
-bit-reproducible; there is no adaptive error control.  A run that settles
-on a bit-exact nonzero constant stops there and repeats it to the end:
-every later step would read exactly the values the last one read, so the
-samples are those of running every step.
+bit-reproducible; there is no adaptive error control.  A run whose tail
+repeats bit for bit with a period p, a constant being p = 1, stops there
+and repeats its last p samples to the end: every later step would read
+exactly the values the step p before it read, so the samples are those of
+running every step.
 """
 from __future__ import annotations
 
@@ -131,24 +132,29 @@ def integrate(spec: ModelSpec, config: SimConfig) -> Trajectory:
     midpoints and nodes from slices taken before it starts.
     The loop is spec.rk4, one call per run: the model's compiled kernel,
     eta * f inlined at every stage.  History on [-tau, 0] is config.x_init.
-    After each delay the kernel compares the newest 2m + 2 samples; step
-    i + 1 reads only samples i - 2m to i + 1 and values computed from them,
-    so if those are one nonzero bit pattern it reads what step i read and
-    returns the same sample, as does every step after it.  The kernel then
-    fills the remaining samples with that value and returns, which gives
-    the samples of running every step.  Zero is not a stop: 0.0 == -0.0,
-    but the two are written differently.
+    After each delay the kernel looks for a periodic tail.  Step i + 1
+    reads only samples i + 1 - 2m to i + 1 and values computed from them;
+    if those equal the 2m + 1 samples p steps earlier, it reads what step
+    i + 1 - p read and returns the same sample, and so does every step
+    after it, a constant tail being p = 1.  The kernel then fills the
+    remaining samples by repeating the last p and returns, which gives the
+    samples of running every step.  The earlier samples must start at
+    sample 0 or later, since the constant history before it has no Hermite
+    midpoints, and hold no zero: 0.0 == -0.0, but the two are written
+    differently.  The kernel searches only where the newest sample is
+    within 1e-13, relative, of the one 2m + 1 steps back, and only periods
+    of up to 8m steps.  Neither bound can change a sample: a run that
+    misses one takes its next steps, as if there were no stop.
 
     Raises
     ------
     InvalidSpec
         If tau = 0 (a Generic model's coefficients allow it), checked
-        before the step.
+        before the step; if dt does not divide tau or t_end < 50*tau; or
+        if the run has more steps than a list can index (checked before
+        anything is allocated) or than memory holds.
     StepTooLarge
         If dt > tau/20.
-    InvalidSpec
-        If dt does not divide tau, t_end < 50*tau, or the run has more
-        steps than a list can index (checked before anything is allocated).
     Divergence
         If |x| exceeds 1e6, or a stage overflows; the partial trajectory
         (finite prefix) is attached to the exception as .trajectory.
@@ -176,7 +182,12 @@ def integrate(spec: ModelSpec, config: SimConfig) -> Trajectory:
             f"t_end = {config.t_end:.6g} takes {steps:.6g} steps of dt = {dt:.6g}: "
             "more than a list can index")
     n = int(round(steps))
-    xs, i = spec.rk4(float(config.x_init), n, m, dt, config.eta, DIVERGENCE_THRESHOLD)
+    try:
+        xs, i = spec.rk4(float(config.x_init), n, m, dt, config.eta, DIVERGENCE_THRESHOLD)
+    except MemoryError:
+        raise InvalidSpec(
+            f"t_end = {config.t_end:.6g} takes {n} steps of dt = {dt:.6g}: "
+            "more samples than memory holds") from None
     traj = Trajectory(times=np.arange(i + 1, dtype=float) * dt,
                       values=np.fromiter(xs, float, i + 1), model=spec, config=config)
     if i < n:

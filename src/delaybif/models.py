@@ -113,12 +113,15 @@ class ModelSpec:
     stage, its delay-only terms evaluated once per delayed value, each
     Hermite midpoint of the history built once, when its right node lands
     (x_init throughout the first delay, where the history is constant),
-    and a stop where the run has settled on a bit-exact nonzero constant;
-    eta and the constants are arguments, never source.  Write f Horner in
-    x and group its x-free part, as the built-in models do: the kernel
-    then takes that part as one term per delayed value, and each stage
-    costs two operations per degree in x.  Module-level functions of the
-    same names check for a ModelSpec once and delegate.
+    and a stop where the run's tail repeats bit for bit with a period of
+    up to 8 delays, a constant being period 1, searched for only where the
+    newest sample is within 1e-13, relative, of the one 2m + 1 steps back
+    (m steps a delay); neither bound can change a sample, only let a run
+    take every step.  eta and the constants are arguments, never source.
+    Write f Horner in x and group its x-free part, as the built-in models
+    do: the kernel then takes that part as one term per delayed value, and
+    each stage costs two operations per degree in x.  Module-level
+    functions of the same names check for a ModelSpec once and delegate.
     """
 
     expression: str
@@ -140,7 +143,9 @@ class ModelSpec:
 
 # the field and the integrator loop of ddesim.integrate, with eta * f
 # inlined wherever {f} stands and its delay-only terms _d0, _d1, ... set by
-# {d} wherever y changes; every kernel local but x and y starts with _
+# {d} wherever y changes; every kernel local but x and y starts with _.
+# After each delay the loop stops where the tail has become periodic and
+# fills the rest of the run by repeating it
 _TEMPLATE = """\
 def field(eta, *, {params}exp=exp):
     return lambda x, y: eta * ({expression})
@@ -178,14 +183,31 @@ def kernel(_x0, _n, _m, _dt, eta, _limit, *, {params}exp=exp):
                 _fn = eta * ({f})
                 _ys[_i] = 0.5 * (_x + x) + _eighth * (_k1 - _fn)
                 _x, _k1 = x, _fn
-            # step _i + 1 reads only samples _i - 2m .. _i + 1 and values
-            # computed from them; if those are one bit pattern, it reads what
-            # step _i read and repeats it, and so does every later step (zero
-            # is left out: 0.0 == -0.0, but the two print differently)
-            _lo = _i - 2 * _m
-            if x and _lo >= 0 and _xs[_lo] == x and _xs[_lo:_i + 2].count(x) == 2 * _m + 2:
-                _xs[_i + 2:] = [x] * (_n - _i - 1)
-                return _xs, _n
+            # step _i + 1 reads only samples _lo .. _i + 1 and values computed
+            # from them; if those equal the samples p steps earlier, it reads
+            # what step _i + 1 - p read and repeats its sample, and so does
+            # every later step: the rest of the run repeats the last p
+            # samples, a constant being p = 1.  The earlier window must start
+            # at sample 0 or later, past the constant history, and hold no
+            # zero: 0.0 == -0.0, but the two print differently.  Periods are
+            # searched only where x is within 1e-13, relative, of the sample
+            # before _lo (tails that toggle in their last bits span about
+            # 2e-14), and only up to 8 delays: a run that fails either test
+            # just takes its next steps
+            _lo = _i + 1 - 2 * _m
+            if _lo > 0 and abs(x - _xs[_lo - 1]) <= 1e-13 * abs(x):
+                _w = _xs[_lo:_i + 2]
+                try:
+                    _j = _xs.index(_w[0], max(_lo - 8 * _m, 0), _lo)
+                    while _xs[_j:_j + 2 * _m + 1] != _w:
+                        _j = _xs.index(_w[0], _j + 1, _lo)
+                except ValueError:  # no period yet
+                    pass
+                else:
+                    if 0.0 not in _w:
+                        _p, _rest = _lo - _j, _n - _i - 1
+                        _xs[_i + 2:] = (_xs[_i + 2 - _p:_i + 2] * (_rest // _p + 1))[:_rest]
+                        return _xs, _n
     except OverflowError:  # exp raises where a product gives inf, caught by the band
         return _xs, _i
     return _xs, _n

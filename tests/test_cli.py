@@ -536,6 +536,22 @@ def test_simulate_step_count_beyond_an_index_exits_3(tmp_path, capsys):
     assert err.startswith("error: t_end")
     assert not (out / "trajectory.csv").exists()
 
+
+@pytest.mark.parametrize("command, sweep", [
+    ("simulate", ""), ("sweep", "[sweep]\naxis = eta\nstart = 1.02\nstop = 1.04\ncount = 2\n"),
+])
+def test_step_count_beyond_memory_exits_3(tmp_path, capsys, command, sweep):
+    # 1e18 steps of dt = 0.00187: their sample lists exceed any 64-bit
+    # address space, so the first allocation fails at once
+    ini = CUBIC_INI.replace("t_end = 60.0", "t_end = 1.87e15") + sweep
+    code, stdout, err, out = _run(tmp_path, capsys, command, ini=ini)
+    assert code == 3
+    assert err == ("error: t_end = 1.87e+15 takes 1000000000000000000 steps of "
+                   "dt = 0.00187: more samples than memory holds\n")
+    assert stdout == ""
+    assert list(out.iterdir()) == []
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

@@ -77,6 +77,15 @@ def test_integrate_rejects_a_step_count_beyond_an_index():
         integrate(_wright_model(), cfg)
 
 
+def test_integrate_rejects_a_step_count_beyond_memory():
+    # 1e18 steps index a list, but its 8e18 bytes exceed any 64-bit address
+    # space, so allocating the first sample list fails at once
+    cfg = SimConfig(eta=1.0, x_init=1.0, t_end=1e16)
+    with pytest.raises(InvalidSpec, match=r"^t_end = 1e\+16 takes 1000000000000000000 steps"
+                                          r" of dt = 0.01: more samples than memory holds$"):
+        integrate(_wright_model(), cfg)
+
+
 @pytest.mark.parametrize("dt", [None, 0.01])
 def test_integrate_rejects_zero_delay(dt):
     # the coefficients allow tau = 0; the delay is checked before the step

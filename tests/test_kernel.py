@@ -2,11 +2,15 @@
 
 integrate runs one loop per model class, compiled from the model's
 expression with eta * f inlined at every stage and its delay-only terms
-evaluated once per delayed value.  The kernel stops where the run has
-reached a bit-exact constant other than zero, and fills the rest of the
-samples with it.  It is pinned bit for bit to the loop it replaced, which
-called the closure spec.field(eta) at every stage and ran every step; that
-loop is kept here as the oracle.
+evaluated once per delayed value.  The kernel stops where the run's tail
+repeats bit for bit with a period p of up to 8 delays, a constant being
+p = 1, and fills the rest of the samples by repeating the last p.  It only
+searches where the newest sample lies within 1e-13, relative, of the one
+2m + 1 steps back; a run that fails that filter or has a longer period
+takes every step, so neither bound changes a sample.  The kernel is
+pinned bit for bit to the loop it replaced, which called the closure
+spec.field(eta) at every stage and ran every step; that loop is kept here
+as the oracle.
 """
 import ast
 import math
@@ -387,6 +391,30 @@ def test_settling_run_is_bit_identical(spec, m):
         assert values[-1] != 0.0 and _constant_tail(values) >= 3 * m + 2
 
 
+def _tail_period(values, span):
+    """The smallest p for which the last span samples repeat, bit for bit,
+    the span samples p steps before them; None if there is none."""
+    tail = values[-span:].tobytes()
+    return next((p for p in range(1, len(values) - span + 1)
+                 if values[-span - p:-p].tobytes() == tail), None)
+
+
+@pytest.mark.parametrize("spec, eta, x_init, delays", [
+    (CubicBD(k=7.3, mu=1.0, lam=4.4, tau=0.24), 0.63, -0.6, 200),
+    (QuadraticBD(k=5.4, mu=1.0, lam=-5.2, tau=0.49), 0.46, 1.02, 200),
+    (Nicholson(gamma=0.6, p_rate=35.1, x0_size=1.0, tau=0.48), 1.78, 4.27, 300),
+], ids=["cubic", "quadratic", "nicholson"])
+def test_toggling_run_is_bit_identical(spec, eta, x_init, delays):
+    # below onset, these runs converge but keep toggling in their last bits:
+    # their tails repeat with a period of 3 to 4 delays, never a constant,
+    # and the kernel stops on that period
+    config = SimConfig(eta=eta, x_init=x_init, t_end=delays * spec.tau, dt=spec.tau / 20)
+    values = _assert_bit_identical(spec, config)
+    period = _tail_period(values, 5 * 20)
+    assert period is not None and 60 <= period <= 80
+    assert _constant_tail(values) == 0
+
+
 @pytest.mark.parametrize("spec", _SPECS[:3], ids=lambda spec: spec.variant)
 def test_run_from_the_equilibrium_is_bit_identical(spec):
     x_e = spec.equilibrium().x_e
@@ -430,9 +458,12 @@ class _Counted(ModelSpec):
 
 @pytest.mark.parametrize("f, eta, x_init, tau, m, t_end, stops", [
     (lambda x, y: 1.0 - 0.5 * x - y, 1.0, 0.0, 1.0, 20, 400.0, True),
+    # a tail that repeats every 78 steps: the cubic model k = 7.3, mu = 1,
+    # lam = 4.4 below onset
+    (lambda x, y: x * (1.0 - x * x) - (4.4 + 7.3 * y), 0.63, -0.6, 0.24, 20, 96.0, True),
     (lambda x, y: -(x * x * x - x - 7.0) - 9.0 * y, 1.05, 0.9, 0.187, 20, 74.8, False),
     (lambda x, y: -x - 2.0 * y, 0.5, 1.0, 0.5, 25, 457.6, False),
-], ids=["settles", "limit-cycle", "decays-to-zero"])
+], ids=["settles", "toggles", "limit-cycle", "decays-to-zero"])
 def test_settled_run_stops_calling_f(f, eta, x_init, tau, m, t_end, stops):
     g = _Counter(f)
     spec = _Counted(g=g, tau=tau)
