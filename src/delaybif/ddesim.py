@@ -6,10 +6,10 @@ divergence) from the resulting trajectory.  dt must divide tau; delayed
 values come from nodes and interval midpoints of the stored history, the
 midpoints by cubic Hermite interpolation.  Fixed stepping keeps runs
 bit-reproducible; there is no adaptive error control.  A run whose tail
-repeats bit for bit with a period p, a constant being p = 1, stops there
-and repeats its last p samples to the end: every later step would read
-exactly the values the step p before it read, so the samples are those of
-running every step.
+repeats bit for bit with a period p, a constant being p = 1, stops there:
+the kernel reports p and integrate repeats the last p samples to the end.
+Every later step would read exactly the values the step p before it read,
+so the samples are those of running every step.
 """
 from __future__ import annotations
 
@@ -136,14 +136,14 @@ def integrate(spec: ModelSpec, config: SimConfig) -> Trajectory:
     reads only samples i + 1 - 2m to i + 1 and values computed from them;
     if those equal the 2m + 1 samples p steps earlier, it reads what step
     i + 1 - p read and returns the same sample, and so does every step
-    after it, a constant tail being p = 1.  The kernel then fills the
-    remaining samples by repeating the last p and returns, which gives the
-    samples of running every step.  The earlier samples must start at
-    sample 0 or later, since the constant history before it has no Hermite
-    midpoints, and hold no zero: 0.0 == -0.0, but the two are written
-    differently.  The kernel searches only where the newest sample is
-    within 1e-13, relative, of the one 2m + 1 steps back, and only periods
-    of up to 8m steps.  Neither bound can change a sample: a run that
+    after it, a constant tail being p = 1.  The kernel then returns p, and
+    integrate fills the remaining samples by repeating the last p, which
+    gives the samples of running every step.  The earlier samples must
+    start at sample 0 or later, since the constant history before it has
+    no Hermite midpoints, and hold no zero: 0.0 == -0.0, but the two are
+    written differently.  The kernel searches only where the newest sample
+    is within 1e-13, relative, of the one 2m + 1 steps back, and only
+    periods of up to 8m steps.  Neither bound can change a sample: a run that
     misses one takes its next steps, as if there were no stop.
 
     Raises
@@ -183,13 +183,19 @@ def integrate(spec: ModelSpec, config: SimConfig) -> Trajectory:
             "more than a list can index")
     n = int(round(steps))
     try:
-        xs, i = spec.rk4(float(config.x_init), n, m, dt, config.eta, DIVERGENCE_THRESHOLD)
+        xs, i, p = spec.rk4(float(config.x_init), n, m, dt, config.eta, DIVERGENCE_THRESHOLD)
     except MemoryError:
         raise InvalidSpec(
             f"t_end = {config.t_end:.6g} takes {n} steps of dt = {dt:.6g}: "
             "more samples than memory holds") from None
+    values = np.fromiter(xs, float, i + 1)
+    if p:  # the run stopped on a tail of period p: lay copies of it end to end
+        values.resize(n + 1, refcheck=False)
+        tail = values[i + 1 - p:i + 1]
+        values[i + 1:] = tail[None].repeat((n - i) // p + 1, 0).ravel()[:n - i]
+        i = n
     traj = Trajectory(times=np.arange(i + 1, dtype=float) * dt,
-                      values=np.fromiter(xs, float, i + 1), model=spec, config=config)
+                      values=values, model=spec, config=config)
     if i < n:
         raise Divergence(f"|x| exceeded {DIVERGENCE_THRESHOLD:.0e} at t = "
                          f"{(i + 1) * dt:.6g}", trajectory=traj)
@@ -251,7 +257,7 @@ def metrics(traj: Trajectory) -> LimitCycleMetrics:
     mean refined peak spacing; Undetermined otherwise.
     """
     vals = traj.values
-    finite = np.isfinite(vals) & (np.abs(vals) <= DIVERGENCE_THRESHOLD)
+    finite = np.abs(vals) <= DIVERGENCE_THRESHOLD  # False for NaN and inf too
     stop = len(vals) if finite.all() else int(np.argmin(finite))
     if stop < len(vals) or len(vals) < int(round(traj.config.t_end / traj.dt)) + 1:
         prefix = vals[:stop]
@@ -262,14 +268,15 @@ def metrics(traj: Trajectory) -> LimitCycleMetrics:
     start = int(round(traj.config.transient_fraction * (len(vals) - 1)))
     w = vals[start:]
     t = traj.times[start:]
-    amp = 0.5 * float(w.max() - w.min())
-    if w.max() - w.min() < _EQUILIBRIUM_RANGE_TOL * scale:
+    hi, lo = w.max(), w.min()
+    amp = 0.5 * float(hi - lo)
+    if hi - lo < _EQUILIBRIUM_RANGE_TOL * scale:
         rate = _fit_decay_rate(traj, x_e)
         return LimitCycleMetrics(Verdict.CONVERGED_TO_EQUILIBRIUM, amp,
                                  math.nan, rate)
     peak_t, peak_h = _refined_peaks(t, w)
     if peak_t.size >= 10:
-        midline = 0.5 * float(w.max() + w.min())
+        midline = 0.5 * float(hi + lo)
         last_h = peak_h[-10:] - midline
         mean_h = float(np.mean(last_h))
         if mean_h > 0.0 and float(last_h.max() - last_h.min()) < _CYCLE_AGREEMENT * mean_h:

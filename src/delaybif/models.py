@@ -114,14 +114,16 @@ class ModelSpec:
     Hermite midpoint of the history built once, when its right node lands
     (x_init throughout the first delay, where the history is constant),
     and a stop where the run's tail repeats bit for bit with a period of
-    up to 8 delays, a constant being period 1, searched for only where the
-    newest sample is within 1e-13, relative, of the one 2m + 1 steps back
-    (m steps a delay); neither bound can change a sample, only let a run
-    take every step.  eta and the constants are arguments, never source.
-    Write f Horner in x and group its x-free part, as the built-in models
-    do: the kernel then takes that part as one term per delayed value, and
-    each stage costs two operations per degree in x.  Module-level
-    functions of the same names check for a ModelSpec once and delegate.
+    up to 8 delays, a constant being period 1; the kernel returns the
+    period and ddesim.integrate repeats it to the end.  The period is
+    searched for only where the newest sample is within 1e-13, relative,
+    of the one 2m + 1 steps back (m steps a delay); neither bound can
+    change a sample, only let a run take every step.  eta and the
+    constants are arguments, never source.  Write f Horner in x and group
+    its x-free part, as the built-in models do: the kernel then takes that
+    part as one term per delayed value, and each stage costs two
+    operations per degree in x.  Module-level functions of the same names
+    check for a ModelSpec once and delegate.
     """
 
     expression: str
@@ -133,7 +135,8 @@ class ModelSpec:
         return _compiled(type(self))[1](eta, **self.constants())
 
     def rk4(self, x0: float, n: int, m: int, dt: float, eta: float, limit: float):
-        """(samples, last good index) of ddesim.integrate's n RK4 steps."""
+        """(samples, last computed index, period; 0 unless the run stopped)
+        of ddesim.integrate's n RK4 steps."""
         return _compiled(type(self))[2](x0, n, m, dt, eta, limit, **self.constants())
 
     def rhs(self, x: float, x_delayed: float, eta: float) -> float:
@@ -145,28 +148,31 @@ class ModelSpec:
 # inlined wherever {f} stands and its delay-only terms _d0, _d1, ... set by
 # {d} wherever y changes; every kernel local but x and y starts with _.
 # After each delay the loop stops where the tail has become periodic and
-# fills the rest of the run by repeating it
+# returns its period p, 0 on every other exit; integrate repeats the last p
+# samples to the end of the run
 _TEMPLATE = """\
 def field(eta, *, {params}exp=exp):
     return lambda x, y: eta * ({expression})
 
 def kernel(_x0, _n, _m, _dt, eta, _limit, *, {params}exp=exp):
-    # _ys[j]: the cubic Hermite midpoint of [t_j, t_j+1], built once when
-    # node j + 1 lands, from both nodes, _k1 and _fn, f at the new node
-    _xs, _ys = [_x0] * (_n + 1), [0.0] * _n
+    # _ys[j]: the cubic Hermite midpoint of [t_j-1, t_j] (slot 0 unused),
+    # built once when node j lands, from both nodes, _k1 and _fn, f at the
+    # new node; step _i writes _xs[_i] and _ys[_i]
+    _xs, _ys = [_x0] * (_n + 1), [0.0] * (_n + 1)
     _half, _sixth, _eighth, _floor = 0.5 * _dt, _dt / 6.0, 0.125 * _dt, -_limit
     x = y = _x = _x0
-    _i = 0
+    _i = 1
     try:
         {d}
         _k1 = eta * ({f})
         for _start in range(0, _n, _m):
             _end = min(_start + _m, _n)
             if _start:
-                _mids, _nodes = _ys[_start - _m:_end - _m], _xs[_start - _m + 1:_end - _m + 1]
+                _lag = slice(_start - _m + 1, _end - _m + 1)
+                _mids, _nodes = _ys[_lag], _xs[_lag]
             else:  # the constant history: f' = 0, so its midpoints are _x0 too
                 _mids = _nodes = [_x0] * _end
-            for _i, y, _y_node in zip(range(_start, _end), _mids, _nodes):
+            for _i, y, _y_node in zip(range(_start + 1, _end + 1), _mids, _nodes):
                 {d}
                 x = _x + _half * _k1
                 _k2 = eta * ({f})
@@ -178,12 +184,12 @@ def kernel(_x0, _n, _m, _dt, eta, _limit, *, {params}exp=exp):
                 _k4 = eta * ({f})
                 x = _x + _sixth * (_k1 + 2.0 * (_k2 + _k3) + _k4)
                 if not _floor <= x <= _limit:
-                    return _xs, _i
-                _xs[_i + 1] = x
+                    return _xs, _i - 1, 0
+                _xs[_i] = x
                 _fn = eta * ({f})
                 _ys[_i] = 0.5 * (_x + x) + _eighth * (_k1 - _fn)
                 _x, _k1 = x, _fn
-            # step _i + 1 reads only samples _lo .. _i + 1 and values computed
+            # step _i + 1 reads only samples _lo .. _i and values computed
             # from them; if those equal the samples p steps earlier, it reads
             # what step _i + 1 - p read and repeats its sample, and so does
             # every later step: the rest of the run repeats the last p
@@ -194,9 +200,9 @@ def kernel(_x0, _n, _m, _dt, eta, _limit, *, {params}exp=exp):
             # before _lo (tails that toggle in their last bits span about
             # 2e-14), and only up to 8 delays: a run that fails either test
             # just takes its next steps
-            _lo = _i + 1 - 2 * _m
+            _lo = _i - 2 * _m
             if _lo > 0 and abs(x - _xs[_lo - 1]) <= 1e-13 * abs(x):
-                _w = _xs[_lo:_i + 2]
+                _w = _xs[_lo:_i + 1]
                 try:
                     _j = _xs.index(_w[0], max(_lo - 8 * _m, 0), _lo)
                     while _xs[_j:_j + 2 * _m + 1] != _w:
@@ -205,12 +211,10 @@ def kernel(_x0, _n, _m, _dt, eta, _limit, *, {params}exp=exp):
                     pass
                 else:
                     if 0.0 not in _w:
-                        _p, _rest = _lo - _j, _n - _i - 1
-                        _xs[_i + 2:] = (_xs[_i + 2 - _p:_i + 2] * (_rest // _p + 1))[:_rest]
-                        return _xs, _n
+                        return _xs, _i, _lo - _j
     except OverflowError:  # exp raises where a product gives inf, caught by the band
-        return _xs, _i
-    return _xs, _n
+        return _xs, _i - 1, 0
+    return _xs, _n, 0
 """
 
 

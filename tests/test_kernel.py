@@ -4,13 +4,13 @@ integrate runs one loop per model class, compiled from the model's
 expression with eta * f inlined at every stage and its delay-only terms
 evaluated once per delayed value.  The kernel stops where the run's tail
 repeats bit for bit with a period p of up to 8 delays, a constant being
-p = 1, and fills the rest of the samples by repeating the last p.  It only
-searches where the newest sample lies within 1e-13, relative, of the one
-2m + 1 steps back; a run that fails that filter or has a longer period
-takes every step, so neither bound changes a sample.  The kernel is
-pinned bit for bit to the loop it replaced, which called the closure
-spec.field(eta) at every stage and ran every step; that loop is kept here
-as the oracle.
+p = 1, and reports p; integrate fills the rest of the samples by
+repeating the last p.  The kernel only searches where the newest sample
+lies within 1e-13, relative, of the one 2m + 1 steps back; a run that
+fails that filter or has a longer period takes every step, so neither
+bound changes a sample.  The kernel is pinned bit for bit to the loop it
+replaced, which called the closure spec.field(eta) at every stage and ran
+every step; that loop is kept here as the oracle.
 """
 import ast
 import math
@@ -138,17 +138,23 @@ def test_kernel_is_bit_identical_to_closure_loop(variant, m):
                                               t_end=50.0 * spec.tau, dt=spec.tau / m))
 
 
-@pytest.mark.parametrize("spec, x_init", [
-    (CubicBD(k=9.0, mu=1.0, lam=-7.0, tau=0.187), 5e5),
-    (Nicholson(gamma=1.0, p_rate=50.0, x0_size=1.0, tau=1.0), -800.0),
-    (Generic(TaylorCoefficients(xi_x=0.0, xi_y=-1.0, xi_xx=5.0, tau=1.0)), 1.0),
-], ids=["cubic-overflow", "nicholson-overflow", "generic-guard-band"])
+@pytest.mark.parametrize("spec, x_init, delays", [
+    (CubicBD(k=9.0, mu=1.0, lam=-7.0, tau=0.187), 5e5, None),
+    (Nicholson(gamma=1.0, p_rate=50.0, x0_size=1.0, tau=1.0), -800.0, None),
+    (Generic(TaylorCoefficients(xi_x=0.0, xi_y=-1.0, xi_xx=5.0, tau=1.0)), 1.0, None),
+    # in the band through the first delay (down to -2346), then exp(-y/x0_size)
+    # overflows on the first step of the second: the samples of one delay survive
+    (Nicholson(gamma=1.0, p_rate=50.0, x0_size=0.1, tau=1.0), -0.5, 1),
+], ids=["cubic-overflow", "nicholson-overflow", "generic-guard-band",
+        "nicholson-overflow-second-delay"])
 @pytest.mark.parametrize("m", [20, 50, 100])
-def test_kernel_partial_trajectory_is_bit_identical(spec, x_init, m):
+def test_kernel_partial_trajectory_is_bit_identical(spec, x_init, delays, m):
     config = SimConfig(eta=1.0, x_init=x_init, t_end=50.0 * spec.tau, dt=spec.tau / m)
     with pytest.raises(Divergence):
         integrate(spec, config)
-    _assert_bit_identical(spec, config)
+    values = _assert_bit_identical(spec, config)
+    if delays is not None:
+        assert len(values) == delays * m + 1
 
 
 @pytest.mark.parametrize("m", [20, 50, 100])
@@ -312,8 +318,8 @@ def test_first_delay_is_bit_identical(spec, m, offset):
     n = m + offset
     x_init = spec.equilibrium().x_e + 0.1
     want = np.array(_reference(spec, SimConfig(eta=0.5, x_init=x_init, t_end=n * dt, dt=dt)))
-    xs, i = spec.rk4(x_init, n, m, dt, 0.5, DIVERGENCE_THRESHOLD)
-    assert i == n == len(want) - 1
+    xs, i, p = spec.rk4(x_init, n, m, dt, 0.5, DIVERGENCE_THRESHOLD)
+    assert i == n == len(want) - 1 and p == 0
     assert np.array(xs[:i + 1]).tobytes() == want.tobytes()
 
 
@@ -413,6 +419,8 @@ def test_toggling_run_is_bit_identical(spec, eta, x_init, delays):
     period = _tail_period(values, 5 * 20)
     assert period is not None and 60 <= period <= 80
     assert _constant_tail(values) == 0
+    _, i, p = spec.rk4(x_init, len(values) - 1, 20, config.dt, eta, DIVERGENCE_THRESHOLD)
+    assert p > 0 and p % period == 0
 
 
 @pytest.mark.parametrize("spec", _SPECS[:3], ids=lambda spec: spec.variant)
@@ -487,6 +495,6 @@ def test_negative_zero_history_is_bit_identical():
     m = 20
     config = SimConfig(eta=0.5, x_init=-0.0, t_end=(m + 1) / m, dt=1.0 / m)
     want = np.array(_reference(spec, config))
-    xs, i = spec.rk4(-0.0, m + 1, m, 1.0 / m, 0.5, DIVERGENCE_THRESHOLD)
-    assert i == m + 1 == len(want) - 1 and want[1] < 0.0
+    xs, i, p = spec.rk4(-0.0, m + 1, m, 1.0 / m, 0.5, DIVERGENCE_THRESHOLD)
+    assert i == m + 1 == len(want) - 1 and want[1] < 0.0 and p == 0
     assert np.array(xs).tobytes() == want.tobytes()
