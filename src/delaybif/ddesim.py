@@ -5,11 +5,9 @@ fourth-order integrator, plus verdict extraction (equilibrium, limit cycle,
 divergence) from the resulting trajectory.  dt must divide tau; delayed
 values come from nodes and interval midpoints of the stored history, the
 midpoints by cubic Hermite interpolation.  Fixed stepping keeps runs
-bit-reproducible; there is no adaptive error control.  A run whose tail
-repeats bit for bit with a period p, a constant being p = 1, stops there:
-the kernel reports p and integrate repeats the last p samples to the end.
-Every later step would read exactly the values the step p before it read,
-so the samples are those of running every step.
+bit-reproducible; there is no adaptive error control.  A run stops where
+its tail has become periodic, bit for bit, without changing a sample; see
+integrate.
 """
 from __future__ import annotations
 

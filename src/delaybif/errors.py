@@ -2,8 +2,7 @@
 
 __all__ = [
     "DelayBifError", "InvalidSpec", "NoEquilibrium", "InvariantViolation",
-    "DegenerateLinearization", "DegenerateEpsilon", "ZeroDenominator",
-    "NoConvergence", "Divergence", "StepTooLarge",
+    "DegenerateEpsilon", "NoConvergence", "Divergence", "StepTooLarge",
 ]
 
 
@@ -23,24 +22,8 @@ class InvariantViolation(DelayBifError):
     """Derived quantities break an invariant (e.g. coefficients with b <= a)."""
 
 
-class DegenerateLinearization(DelayBifError):
-    """The linearization is outside the analyzable cone 0 <= a < b.
-
-    No longer raised: ``TaylorCoefficients`` enforces the cone when it is
-    built (``InvariantViolation``).  Kept so that code catching it still imports.
-    """
-
-
 class DegenerateEpsilon(DelayBifError):
     """epsilon = a/b falls outside [0, 1), where the Hopf formulas blow up."""
-
-
-class ZeroDenominator(DelayBifError):
-    """A center-manifold denominator vanished (xi_x + xi_y = 0).
-
-    No longer raised: ``TaylorCoefficients`` enforces 0 <= a < b, so
-    xi_x + xi_y = -(a + b) < 0.  Kept so that code catching it still imports.
-    """
 
 
 class NoConvergence(DelayBifError):

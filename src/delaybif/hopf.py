@@ -210,19 +210,13 @@ def mu2_center_manifold(coeffs: TaylorCoefficients,
     g02 = Dc * eta * (2 * xi_xx + 2 * xi_xy * Bc + 2 * xi_yy * Bc * Bc)
     E = -g20 / (Dc * (eta * xi_x + eta * xi_y * B * B - 2j * w0))
     F = -g11 / (Dc * eta * (xi_y + xi_x))
-
-    def w20(theta: float) -> complex:
-        ph = cmath.exp(1j * w0 * theta)
-        return (-(g20 / (1j * w0)) * ph
-                - (g02.conjugate() / (3j * w0)) / ph
-                + E * ph * ph)
-
-    def w11(theta: float) -> complex:
-        ph = cmath.exp(1j * w0 * theta)
-        return (g11 / (1j * w0)) * ph - (g11.conjugate() / (1j * w0)) / ph + F
-
-    w20_0, w20_t = w20(0.0), w20(-tau)
-    w11_0, w11_t = w11(0.0), w11(-tau)
+    # the manifold corrections w20(theta) = -p20 e - p02 / e + E e^2 and
+    # w11(theta) = p11 e - p11c / e + F, e = e^(i omega0 theta), at
+    # theta = 0, where e = 1, and at theta = -tau, where e = B
+    p20, p02 = g20 / (1j * w0), g02.conjugate() / (3j * w0)
+    p11, p11c = g11 / (1j * w0), g11.conjugate() / (1j * w0)
+    w20_0, w20_t = -p20 - p02 + E, -p20 * B - p02 / B + E * B * B
+    w11_0, w11_t = p11 - p11c + F, p11 * B - p11c / B + F
     g21 = Dc * eta * (
         2 * xi_xx * (2 * w11_0 + w20_0)
         + xi_xy * (2 * w11_0 * B + w20_0 * Bc + 2 * w11_t + w20_t)

@@ -113,17 +113,13 @@ class ModelSpec:
     stage, its delay-only terms evaluated once per delayed value, each
     Hermite midpoint of the history built once, when its right node lands
     (x_init throughout the first delay, where the history is constant),
-    and a stop where the run's tail repeats bit for bit with a period of
-    up to 8 delays, a constant being period 1; the kernel returns the
-    period and ddesim.integrate repeats it to the end.  The period is
-    searched for only where the newest sample is within 1e-13, relative,
-    of the one 2m + 1 steps back (m steps a delay); neither bound can
-    change a sample, only let a run take every step.  eta and the
-    constants are arguments, never source.  Write f Horner in x and group
-    its x-free part, as the built-in models do: the kernel then takes that
-    part as one term per delayed value, and each stage costs two
-    operations per degree in x.  Module-level functions of the same names
-    check for a ModelSpec once and delegate.
+    and a stop where the run's tail has become periodic, bit for bit, as
+    ddesim.integrate states.  eta and the constants are arguments, never
+    source.  Write f Horner in x and group its x-free part, as the
+    built-in models do: the kernel then takes that part as one term per
+    delayed value, and each stage costs two operations per degree in x.
+    Module-level functions of the same names check for a ModelSpec once
+    and delegate.
     """
 
     expression: str
@@ -147,9 +143,8 @@ class ModelSpec:
 # the field and the integrator loop of ddesim.integrate, with eta * f
 # inlined wherever {f} stands and its delay-only terms _d0, _d1, ... set by
 # {d} wherever y changes; every kernel local but x and y starts with _.
-# After each delay the loop stops where the tail has become periodic and
-# returns its period p, 0 on every other exit; integrate repeats the last p
-# samples to the end of the run
+# The loop returns the period p of a tail it stops on (integrate states the
+# rule), 0 on every other exit
 _TEMPLATE = """\
 def field(eta, *, {params}exp=exp):
     return lambda x, y: eta * ({expression})
@@ -276,36 +271,29 @@ class CubicBD(_DelayedPolynomial):
     """Delayed cubic oscillator x' = -(x^3 - mu*x + lam) - k*x(t-tau).
 
     Its expression is that polynomial as x(mu - x^2) - (lam + k y).  Its
-    equilibrium is the unique real root of x^3 + (k - mu) x + lam.
+    equilibrium is the unique real root of x^3 + (k - mu) x + lam, taken
+    from its hyperbolic closed form and polished by three Newton steps.
     """
 
     variant = "cubic"
     expression = "x * (mu - x * x) - (lam + k * y)"
 
     def equilibrium(self) -> EquilibriumReport:
-        # x^3 + c1 x + lam increases strictly (c1 = k - mu > 0), so bisection
-        # on its sign alone is safe, down to width 1e-12 or, where the root
-        # is too large for that, to two adjacent floats; Newton polishes,
-        # skipping a step that overflows
+        # with c1 = k - mu > 0 the one real root is -2s sinh(asinh(w)/3),
+        # s = sqrt(c1/3), w = lam/(2s^3), s^3 never formed; where that is
+        # not finite (w overflows, or c1/3 underflows to 0) it starts from
+        # -cbrt(lam).  Newton polishes, skipping a step that overflows;
+        # + 0.0 turns a root of -0.0 into 0.0
         c1, lam = self.k - self.mu, self.lam
-
-        def poly(x: float) -> float:
-            return x * x * x + c1 * x + lam
-
-        hi = min(1.0 + abs(lam) + self.k, sys.float_info.max)
-        lo = -hi
-        x = 0.5 * (lo + hi)
-        while hi - lo >= 1e-12 and lo < x < hi:
-            if poly(x) < 0.0:
-                lo = x
-            else:
-                hi = x
-            x = 0.5 * (lo + hi)
+        s = math.sqrt(c1 / 3.0)
+        x = -2.0 * s * math.sinh(math.asinh(lam / (2.0 * s) / s / s) / 3.0) if s else math.nan
+        if not math.isfinite(x):
+            x = -math.copysign(abs(lam) ** (1.0 / 3.0), lam)
         for _ in range(3):
-            step = poly(x) / (3.0 * x * x + c1)
+            step = (x * x * x + c1 * x + lam) / (3.0 * x * x + c1)
             if abs(step) < math.inf:
                 x -= step
-        return EquilibriumReport(x_e=x, residual=abs(poly(x)))
+        return EquilibriumReport(x_e=x + 0.0, residual=abs(x * x * x + c1 * x + lam))
 
     def taylor_coefficients(self) -> TaylorCoefficients:
         x_e = self.equilibrium().x_e
@@ -434,6 +422,11 @@ class Generic(ModelSpec):
 def quadratic_roots(spec: QuadraticBD) -> tuple[float, float]:
     """Both real roots of x^2 + (k - mu)x + lam = 0, larger first.
 
+    With Q = -(c1 + sqrt(disc)), c1 = k - mu, they are 2 lam/Q and Q/2
+    (Press et al., Numerical Recipes, 3rd ed., 2007, section 5.6): as
+    c1 > 0, neither is a difference of nearly equal numbers.  A root of
+    -0.0 is returned as 0.0.
+
     Raises
     ------
     NoEquilibrium
@@ -444,8 +437,8 @@ def quadratic_roots(spec: QuadraticBD) -> tuple[float, float]:
     if disc < 0.0:
         raise NoEquilibrium(
             f"quadratic discriminant negative ({disc:.6g}): no real equilibrium")
-    s = math.sqrt(disc)
-    return (-c1 + s) / 2.0, (-c1 - s) / 2.0
+    q = -(c1 + math.sqrt(disc))
+    return 2.0 * spec.lam / q + 0.0, 0.5 * q + 0.0
 
 
 def _normal(value: float, exact_zero: bool = False, name: str = "mu2") -> float:

@@ -480,11 +480,48 @@ def test_sim_config_defaults_come_from_sim_config():
     ("analyze", CUBIC_INI.replace("k = 9.0", "k ="), "missing value for 'k' in [model]"),
     ("simulate", CUBIC_INI.replace("x_init = 0.9", "x_init = "),
      "missing value for 'x_init' in [sim]"),
-], ids=["dt", "count", "blank-model-key", "blank-sim-key"])
+    ("analyze", "[analysis]\neta = 1.0\n", "missing [model] section"),
+    ("sweep", CUBIC_INI + "[sweep]\naxis = eta\nstart = 1\nstop = 1.1\ncount = 2\n"
+     "continue_history = maybe\n", "[sweep] continue_history = 'maybe' is not a boolean"),
+    ("sweep", CUBIC_INI + "[sweep]\naxis = k\nstart = 1\nstop = 2\ncount = 2\n",
+     "unknown sweep axis 'k' (expected tau, eta, or epsilon)"),
+    ("sweep", CUBIC_INI + "[sweep]\naxis = tau\nstart = 0.1\nstop = 0.01\ncount = 3\n",
+     "sweep grid must be ascending: stop > start"),
+    ("analyze", CUBIC_INI + "[output]\nformat = xml\n", "unknown output format 'xml'"),
+], ids=["dt", "count", "blank-model-key", "blank-sim-key", "no-model-section",
+        "not-boolean", "unknown-axis", "descending-grid", "unknown-format"])
 def test_unparsable_number_is_a_config_error(tmp_path, capsys, command, ini, message):
     code, _, err, _ = _run(tmp_path, capsys, command, ini=ini)
     assert code == 2
     assert err == f"config error: {message}\n"
+
+
+def test_unparsable_config_file_exits_2(tmp_path, capsys):
+    code, stdout, err, _ = _run(tmp_path, capsys, "analyze", ini="[model\nvariant = cubic\n")
+    assert code == 2
+    assert stdout == ""
+    assert err.splitlines()[0] == (f"config error: cannot parse config file "
+                                   f"{str(tmp_path / 'run.ini')!r}: "
+                                   "File contains no section headers.")
+
+
+def test_output_directory_under_a_file_exits_2(tmp_path, capsys):
+    (tmp_path / "afile").write_text("")
+    code, stdout, err, out = _run(tmp_path, capsys, "analyze", sub="afile/sub")
+    assert code == 2
+    assert stdout == ""
+    assert err.splitlines()[0].startswith(
+        f"config error: cannot create output directory {str(out)!r}: ")
+
+
+def test_diverging_eta_sweep_exits_4(tmp_path, capsys):
+    ini = ("[model]\nvariant = generic\nxi_x = -0.5\nxi_y = -2\nxi_xxx = 1\ntau = 1\n"
+           "[sim]\neta = 1\nx_init = 2\nt_end = 60\n"
+           "[sweep]\naxis = eta\nstart = 1\nstop = 2\ncount = 3\n")
+    code, stdout, err, _ = _run(tmp_path, capsys, "sweep", ini=ini)
+    assert code == 4
+    assert stdout == ""
+    assert err.splitlines()[0] == "error: |x| exceeded 1e+06 at t = 0.19"
 
 
 def test_invalid_model_maps_to_exit_3(tmp_path, capsys):

@@ -74,6 +74,22 @@ def test_cubic_equilibrium_at_large_lam(k, lam):
     assert math.isfinite(x_e) and _within_ulps(spec, x_e)
 
 
+@pytest.mark.parametrize("k, mu", [(5e-324, 0.0), (1e-300, 0.0), (1e-100, 0.0), (2.0, 1.0),
+                                   (1e100, 1.0), (1e300, 0.0)])
+@pytest.mark.parametrize("lam", [0.0, 1e-300, -1e-300, 1e300, -1e300])
+def test_cubic_equilibrium_over_the_float_range(k, mu, lam):
+    # c1 = k - mu = 5e-324 underflows to 0 in c1/3, and at c1 = 1e-300,
+    # |lam| = 1e300 lam/(2 s^3) overflows: both start Newton from -cbrt(lam)
+    spec = CubicBD(k=k, mu=mu, lam=lam, tau=1.0)
+    x_e = equilibrium(spec).x_e
+    assert math.isfinite(x_e) and _within_ulps(spec, x_e)
+
+
+def test_zero_equilibria_are_positive_zero():
+    assert repr(equilibrium(CubicBD(k=2.0, mu=1.0, lam=0.0, tau=1.0)).x_e) == "0.0"
+    assert repr(quadratic_roots(QuadraticBD(k=2.0, mu=1.0, lam=0.0, tau=1.0))[0]) == "0.0"
+
+
 def test_equilibrium_is_rhs_zero(ex1_spec, ex2_spec, nich_spec):
     for spec in (ex1_spec, ex2_spec, nich_spec):
         x_e = equilibrium(spec).x_e
@@ -108,6 +124,20 @@ def test_quadratic_equilibrium_takes_larger_root():
     spec = QuadraticBD(k=6.0, mu=1.0, lam=-7.0, tau=0.5)
     hi, _ = quadratic_roots(spec)
     assert equilibrium(spec).x_e == pytest.approx(hi, rel=1e-14)
+
+
+def test_quadratic_small_root_beside_a_large_one():
+    # (-c1 + sqrt(disc))/2 cancelled to 9.999985195463523e-08 here, a
+    # residual of 1.5e-9
+    spec = QuadraticBD(k=1e4, mu=1e-7, lam=-1e-3, tau=1.0)
+    assert equilibrium(spec).residual < 1e-18
+
+
+def test_quadratic_tiny_root_is_analyzable():
+    # the cancelled larger root gave a = 2x - mu < 0, and so InvariantViolation
+    spec = QuadraticBD(k=1e6, mu=1e-13, lam=-1e-6, tau=1.0)
+    assert equilibrium(spec).x_e == 1e-12
+    assert taylor_coefficients(spec).a >= 0.0
 
 
 def test_quadratic_no_real_equilibrium():
