@@ -4,6 +4,11 @@ Hopf point location, closed-form stability verdicts, transversality, the
 principal Lambert-W branch behind the decay rates of `convergence`, and a
 numerical rightmost-root oracle based on argument-principle winding counts
 with Newton polish.  Only the principal (n = 0) crossing branch is treated.
+
+The root search subdivides the region by two rules.  A cell of winding 1,
+at any size, is settled by one Newton solve from its center when that solve
+ends inside the cell; and a Newton result counts toward a cell only if it
+lies inside that cell.  So every root returned lies inside the search region.
 """
 from __future__ import annotations
 
@@ -317,6 +322,17 @@ def _collect_roots(A, B, tau, x0, x1, y0, y1, found):
     n = _winding(A, B, tau, x0, x1, y0, y1)
     if n <= 0:
         return
+
+    def inside(lam):
+        return x0 <= lam.real <= x1 and y0 <= lam.imag <= y1
+
+    if n == 1:
+        # a cell of winding 1 holds one root: a Newton solve that ends
+        # inside the cell has found it, at any cell size
+        res = _newton(A, B, tau, complex(0.5 * (x0 + x1), 0.5 * (y0 + y1)))
+        if res is not None and inside(res[0]):
+            _register(found, *res)
+            return
     size = max(x1 - x0, y1 - y0)
     if size < 0.35:
         seeds = [complex(0.5 * (x0 + x1), 0.5 * (y0 + y1))]
@@ -325,7 +341,8 @@ def _collect_roots(A, B, tau, x0, x1, y0, y1, found):
         got = 0
         for seed in seeds:
             res = _newton(A, B, tau, seed)
-            if res is None:
+            # a neighbour's root is that cell's to find
+            if res is None or not inside(res[0]):
                 continue
             lam, r = res
             if _register(found, lam, r):
@@ -366,8 +383,12 @@ def rightmost_roots(coeffs: TaylorCoefficients, eta: float,
     """All characteristic roots inside the search region, rightmost first.
 
     Roots are localized by argument-principle winding counts over a
-    rectangular subdivision and polished by Newton iteration.  Conjugate
-    pairs are implied: only roots with im >= 0 are reported.
+    rectangular subdivision and polished by Newton iteration.  A cell of
+    winding 1 is settled by one Newton solve from its center if that lands
+    inside the cell, and is split further otherwise; a cell's count takes
+    only the roots found inside it, so every returned root lies inside the
+    search region.  Conjugate pairs are implied: only roots with im >= 0 are
+    reported.
 
     Parameters
     ----------
@@ -384,7 +405,9 @@ def rightmost_roots(coeffs: TaylorCoefficients, eta: float,
         overflow.
     NoConvergence
         If a subcell flagged by the winding count defeats Newton from every
-        seed, or the boundary phase cannot be resolved.
+        seed, or the boundary phase cannot be resolved.  Known cases: the
+        double real root at the delay boundary tau* of `convergence`, and
+        regions dense with roots, such as the README model at tau = 50.
     """
     _require_gain(eta)
     a, b, tau = coeffs.a, coeffs.b, coeffs.tau

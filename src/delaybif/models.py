@@ -262,6 +262,9 @@ class _DelayedPolynomial(ModelSpec):
             raise InvalidSpec(f"k > 0 required, got k = {self.k}")
         if self.k <= self.mu:
             raise InvalidSpec(f"k > mu required, got k = {self.k}, mu = {self.mu}")
+        if not math.isfinite(self.k - self.mu):
+            # the equilibria's linear coefficient c1 = k - mu
+            raise InvalidSpec(f"k - mu must be finite, got k = {self.k}, mu = {self.mu}")
         if self.tau <= 0.0:
             raise InvalidSpec(f"tau > 0 required, got tau = {self.tau}")
 

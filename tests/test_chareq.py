@@ -342,6 +342,41 @@ def test_root_search_is_complete_on_samples():
         checked += 1
 
 
+@pytest.mark.parametrize("xi_x, xi_y, tau, eta", [
+    # a Newton seed converging to a neighbouring cell's root once stood in
+    # for this cell's own root: -0.045976 + 1.918495j went missing, and two
+    # roots above im_max came back
+    (-0.47722545790951687, -0.8260218526043872, 20.57454165143533, 0.9206622784649405),
+    # a 2e-3 cell of winding 1 where no seed converged (NoConvergence)
+    (-0.2305101921225743, -0.8499140395965452, 25.5469763066201, 0.615078700842453),
+    (-0.30509183419712704, -0.6128423979865267, 14.020560210351876, 0.8526529011301285),
+    (-0.47006765337610623, -0.9868774200758452, 23.233440542026823, 0.5942094330909666),
+])
+def test_root_search_is_complete_where_roots_are_dense(xi_x, xi_y, tau, eta):
+    # long delays pack roots 2*pi/tau apart, so a root may sit 0.0057 to
+    # 0.134 from the default region's boundary; these draws are kept although
+    # the sampled test above skips clearances under 0.05, because each one
+    # failed a specific cell rule of the subdivision, not the contour count
+    c = TaylorCoefficients(xi_x=xi_x, xi_y=xi_y, tau=tau)
+    _assert_complete(c, eta, RootSearchRegion.default_for(c, eta))
+
+
+def test_single_root_cells_are_not_split(monkeypatch, ex1_coeffs):
+    # a cell of winding 1 is settled by one Newton solve, so the README
+    # model needs a handful of winding counts (once 51)
+    from delaybif import chareq
+    calls = []
+    winding = chareq._phase_winding
+
+    def counted_winding(*args):
+        calls.append(args)
+        return winding(*args)
+
+    monkeypatch.setattr(chareq, "_phase_winding", counted_winding)
+    assert len(rightmost_roots(ex1_coeffs, 1.0)) == 1
+    assert len(calls) < 10
+
+
 # tau*height = 6500: on the left edge, where the delayed exponential
 # dominates G, the phase turns by tau*height/4096 > pi/2 between samples at
 # the initial cap of 4096 per side, so the sampling must double

@@ -258,6 +258,14 @@ def test_cubic_rejects_weak_delayed_feedback():
         CubicBD(k=2.0, mu=1.0, lam=0.0, tau=0.0)
 
 
+@pytest.mark.parametrize("cls, lam", [(CubicBD, 1.0), (QuadraticBD, -1.0)])
+def test_overflowing_k_minus_mu_is_invalid(cls, lam):
+    # k - mu = inf had given the cubic x_e = -1.0 with residual inf, and the
+    # quadratic the roots (0.0, -inf)
+    with pytest.raises(InvalidSpec, match="k - mu must be finite"):
+        cls(k=1e308, mu=-1e308, lam=lam, tau=1.0)
+
+
 def test_nicholson_rejects_subcritical_birth_rate():
     with pytest.raises(InvalidSpec):
         Nicholson(gamma=1.0, p_rate=2.0, x0_size=1.0, tau=1.0)
