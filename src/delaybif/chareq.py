@@ -182,14 +182,26 @@ def sufficient_stable(coeffs: TaylorCoefficients, eta: float) -> bool:
     """Delay-margin sufficient condition eta*b*tau < pi/2.
 
     Conservative: whenever this holds, is_locally_stable holds too, but the
-    converse can fail (the gap is largest for a close to b).
+    converse can fail (the gap is largest for a close to b).  InvalidSpec
+    if eta is not finite and positive.
     """
+    _require_gain(eta)
     return eta * coeffs.b * coeffs.tau < 0.5 * math.pi
 
 
 def char_value(coeffs: TaylorCoefficients, eta: float, lam: complex) -> complex:
-    """Evaluate lambda + eta*a + eta*b*e^(-lambda*tau) at a complex lambda."""
-    return lam + eta * coeffs.a + eta * coeffs.b * cmath.exp(-lam * coeffs.tau)
+    """Evaluate lambda + eta*a + eta*b*e^(-lambda*tau) at a complex lambda.
+
+    InvalidSpec if eta is not finite and positive, or e^(-lambda*tau)
+    overflows.
+    """
+    _require_gain(eta)
+    try:
+        delayed = cmath.exp(-lam * coeffs.tau)
+    except OverflowError:
+        raise InvalidSpec(f"e^(-lambda*tau) overflows at lambda = {lam!r}, "
+                          f"tau = {coeffs.tau!r}") from None
+    return lam + eta * coeffs.a + eta * coeffs.b * delayed
 
 
 # 1/e and its rounding error, so that z + 1/e keeps its digits near -1/e
@@ -406,8 +418,12 @@ def rightmost_roots(coeffs: TaylorCoefficients, eta: float,
     NoConvergence
         If a subcell flagged by the winding count defeats Newton from every
         seed, or the boundary phase cannot be resolved.  Known cases: the
-        double real root at the delay boundary tau* of `convergence`, and
-        regions dense with roots, such as the README model at tau = 50.
+        double real root at the delay boundary tau* of `convergence`;
+        regions dense with roots, such as the README model at tau = 50;
+        and a root within about 4e-5 of a cell edge or cut, which defeats
+        2^15 boundary samples per side.  The Lambert-W branches of ROADMAP
+        item 2 remove all three; that rewrite waits for item 1, the
+        benchmark fix.
     """
     _require_gain(eta)
     a, b, tau = coeffs.a, coeffs.b, coeffs.tau

@@ -3,8 +3,10 @@
 Runs are driven by an INI-style config file (sections [model], [analysis],
 [sweep], [sim], [roots], [output]; '#' and ';' comments allowed) and write
 deterministic artifacts into the output directory: identical configs give
-byte-identical files.  Every command also writes a manifest.json echoing
-the parsed config and the tool version.
+byte-identical files.  main runs every command the same way: it builds the
+model, the command writes its artifacts, main writes a manifest.json echoing
+the parsed config, the tool version and the artifact names, and only then
+writes the command's stdout.
 
 Exit codes: 0 success, 2 config or output problem (unreadable, unparsable,
 missing keys, empty grid, an output directory or file that cannot be
@@ -29,7 +31,6 @@ from .chareq import RootSearchRegion, critical_eta, rightmost_roots, stability_v
 from .convergence import rate_of_convergence, sweep_tau
 from .errors import DelayBifError, Divergence
 from .hopf import (
-    classify,
     g_tilde,
     h_tilde,
     mu2_center_manifold,
@@ -227,17 +228,16 @@ def _write_manifest(outdir: str, command: str, cp, outputs: list) -> None:
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each writes only its own artifacts and returns their names
+# with its stdout text, or with the Divergence that ended its simulation
 
-def _cmd_analyze(cp, outdir: str, fmt: str) -> int:
-    model = _build_model(cp)
+def _cmd_analyze(cp, model, outdir: str, fmt: str):
     eq = equilibrium(model)
     coeffs = taylor_coefficients(model)
     eta = _get_number(cp, "analysis", "eta", 1.0)
     hopf_pt = critical_eta(coeffs)
     conv = rate_of_convergence(coeffs, eta)
     lyap = mu2_center_manifold(coeffs, hopf_pt)
-    direction, cycle = classify(lyap)
     report = {
         "model": {"variant": model.variant},
         "equilibrium": eq,
@@ -247,8 +247,8 @@ def _cmd_analyze(cp, outdir: str, fmt: str) -> int:
         "lyapunov": lyap,
         "mu2_closed_form": mu2_closed_form(coeffs),
         "classification": {
-            "direction": direction,
-            "cycle_stability": cycle,
+            "direction": lyap.direction,
+            "cycle_stability": lyap.cycle_stability,
             "eta": eta,
             "stability_at_eta": stability_verdict(coeffs, eta),
         },
@@ -256,26 +256,17 @@ def _cmd_analyze(cp, outdir: str, fmt: str) -> int:
     if isinstance(model, Nicholson):
         report["nicholson_mu2"] = nicholson_mu2(model)
     text = _json_text(report)
-    _write_manifest(outdir, "analyze", cp, [_write(outdir, "analyze.json", text)])
-    sys.stdout.write(text)
-    return 0
+    return [_write(outdir, "analyze.json", text)], text
 
 
-def _cmd_sweep(cp, outdir: str, fmt: str) -> int:
-    model = _build_model(cp)
+def _cmd_sweep(cp, model, outdir: str, fmt: str):
     axis, grid = _grid(cp)
-    outputs = []
     if axis == "tau":
         coeffs = taylor_coefficients(model)
         eta = _get_number(cp, "analysis", "eta", 1.0)
-        rows = []
-        for tau, rep in sweep_tau(coeffs, grid, eta):
-            rows.append([tau, rep.sigma, rep.sigma1, rep.sigma2, rep.sigma3,
-                         rep.regime.value])
-        outputs.append(_write_table(
-            outdir, "roc_sweep",
-            ["tau", "sigma", "sigma1", "sigma2", "sigma3", "regime"],
-            rows, fmt))
+        rows = [[tau, rep.sigma, rep.sigma1, rep.sigma2, rep.sigma3, rep.regime.value]
+                for tau, rep in sweep_tau(coeffs, grid, eta)]
+        stem, header = "roc_sweep", ["tau", "sigma", "sigma1", "sigma2", "sigma3", "regime"]
     elif axis == "eta":
         from .ddesim import sweep_bifurcation
         config = _sim_config(cp)
@@ -283,51 +274,35 @@ def _cmd_sweep(cp, outdir: str, fmt: str) -> int:
         points = sweep_bifurcation(model, grid, config, continue_history=warm)
         rows = [[eta, amp, period, verdict.value]
                 for eta, amp, period, verdict in points]
-        outputs.append(_write_table(
-            outdir, "bifurcation",
-            ["eta", "amplitude", "period", "verdict"], rows, fmt))
+        stem, header = "bifurcation", ["eta", "amplitude", "period", "verdict"]
     else:
         coeffs = taylor_coefficients(model)
-        rows = []
-        for eps in grid:
-            gt, ht = g_tilde(eps), h_tilde(eps)
-            if isinstance(model, Nicholson):
-                mu2 = nicholson_mu2_shape(eps, model.x0_size)
-            else:
-                mu2 = mu2_closed_form(
-                    dataclasses.replace(coeffs, xi_x=-eps * coeffs.b))
-            rows.append([eps, gt, ht, mu2])
-        stem = "nicholson_mu2" if isinstance(model, Nicholson) else "gtilde"
-        outputs.append(_write_table(
-            outdir, stem, ["epsilon", "g_tilde", "h_tilde", "mu2"], rows, fmt))
-    _write_manifest(outdir, "sweep", cp, outputs)
-    sys.stdout.write(f"wrote {', '.join(sorted(outputs))} to {outdir}\n")
-    return 0
+        nicholson = isinstance(model, Nicholson)
+        rows = [[eps, g_tilde(eps), h_tilde(eps),
+                 nicholson_mu2_shape(eps, model.x0_size) if nicholson
+                 else mu2_closed_form(dataclasses.replace(coeffs, xi_x=-eps * coeffs.b))]
+                for eps in grid]
+        stem = "nicholson_mu2" if nicholson else "gtilde"
+        header = ["epsilon", "g_tilde", "h_tilde", "mu2"]
+    name = _write_table(outdir, stem, header, rows, fmt)
+    return [name], f"wrote {name} to {outdir}\n"
 
 
-def _cmd_simulate(cp, outdir: str, fmt: str) -> int:
+def _cmd_simulate(cp, model, outdir: str, fmt: str):
     from .ddesim import integrate, metrics
-    model = _build_model(cp)
     config = _sim_config(cp)
-    failure = None
     try:
-        traj = integrate(model, config)
+        traj, result = integrate(model, config), None
     except Divergence as exc:
-        traj, failure = exc.trajectory, exc
+        traj, result = exc.trajectory, exc
     m = metrics(traj)
-    outputs = [_write_csv(outdir, "trajectory.csv", ["t", "x"],
-                          zip(traj.times.tolist(), traj.values.tolist())),
-               _write(outdir, "metrics.json", _json_text(m))]
-    _write_manifest(outdir, "simulate", cp, outputs)
-    if failure is not None:
-        sys.stderr.write(f"error: {failure}\n")
-        return 4
-    sys.stdout.write(f"verdict: {m.verdict.value}\n")
-    return 0
+    names = [_write_csv(outdir, "trajectory.csv", ["t", "x"],
+                        zip(traj.times.tolist(), traj.values.tolist())),
+             _write(outdir, "metrics.json", _json_text(m))]
+    return names, result or f"verdict: {m.verdict.value}\n"
 
 
-def _cmd_roots(cp, outdir: str, fmt: str) -> int:
-    model = _build_model(cp)
+def _cmd_roots(cp, model, outdir: str, fmt: str):
     coeffs = taylor_coefficients(model)
     eta = _get_number(cp, "roots", "eta",
                        _get_number(cp, "analysis", "eta", 1.0))
@@ -335,13 +310,9 @@ def _cmd_roots(cp, outdir: str, fmt: str) -> int:
     overrides = {k: v for k in ("re_min", "re_max", "im_max")
                  if (v := _get_number(cp, "roots", k)) is not None}
     region = dataclasses.replace(region, **overrides)
-    roots = rightmost_roots(coeffs, eta, region)
-    rows = [[r.re, r.im, r.residual] for r in roots]
+    rows = [[r.re, r.im, r.residual] for r in rightmost_roots(coeffs, eta, region)]
     name = _write_table(outdir, "roots", ["re", "im", "residual"], rows, fmt)
-    _write_manifest(outdir, "roots", cp, [name])
-    for r in roots:
-        sys.stdout.write(f"{r.re!r},{r.im!r},{r.residual!r}\n")
-    return 0
+    return [name], "".join(f"{re!r},{im!r},{res!r}\n" for re, im, res in rows)
 
 
 _COMMANDS = {
@@ -395,7 +366,13 @@ def main(argv=None) -> int:
         except OSError as exc:
             raise _ConfigError(f"cannot create output directory "
                                f"{outdir!r}: {exc}")
-        return _COMMANDS[args.command](cp, outdir, fmt)
+        model = _build_model(cp)
+        names, result = _COMMANDS[args.command](cp, model, outdir, fmt)
+        _write_manifest(outdir, args.command, cp, names)
+        if isinstance(result, Divergence):
+            raise result
+        sys.stdout.write(result)
+        return 0
     except _ConfigError as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return 2

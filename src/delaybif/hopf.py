@@ -191,7 +191,8 @@ def mu2_center_manifold(coeffs: TaylorCoefficients,
     Raises
     ------
     InvalidSpec
-        If mu2 leaves the normal float range.
+        If mu2 leaves the normal float range, or the complex arithmetic of
+        the reduction overflows or divides by zero on the way to it.
     """
     xi_x, xi_y = coeffs.xi_x, coeffs.xi_y
     xi_xx, xi_xy, xi_yy = coeffs.xi_xx, coeffs.xi_xy, coeffs.xi_yy
@@ -200,35 +201,41 @@ def mu2_center_manifold(coeffs: TaylorCoefficients,
     tau = coeffs.tau
     eta = hopf.eta_c
     w0 = hopf.omega0
-    # the one trigonometric evaluation of omega0*tau everything shares
-    B = cmath.exp(-1j * w0 * tau)
-    Bc = B.conjugate()
-    D = 1.0 / (1.0 + eta * tau * xi_y * Bc)
-    Dc = D.conjugate()
-    g20 = Dc * eta * (2 * xi_xx + 2 * xi_xy * B + 2 * xi_yy * B * B)
-    g11 = Dc * eta * (2 * xi_xx + xi_xy * (B + Bc) + 2 * xi_yy)
-    g02 = Dc * eta * (2 * xi_xx + 2 * xi_xy * Bc + 2 * xi_yy * Bc * Bc)
-    E = -g20 / (Dc * (eta * xi_x + eta * xi_y * B * B - 2j * w0))
-    F = -g11 / (Dc * eta * (xi_y + xi_x))
-    # the manifold corrections w20(theta) = -p20 e - p02 / e + E e^2 and
-    # w11(theta) = p11 e - p11c / e + F, e = e^(i omega0 theta), at
-    # theta = 0, where e = 1, and at theta = -tau, where e = B
-    p20, p02 = g20 / (1j * w0), g02.conjugate() / (3j * w0)
-    p11, p11c = g11 / (1j * w0), g11.conjugate() / (1j * w0)
-    w20_0, w20_t = -p20 - p02 + E, -p20 * B - p02 / B + E * B * B
-    w11_0, w11_t = p11 - p11c + F, p11 * B - p11c / B + F
-    g21 = Dc * eta * (
-        2 * xi_xx * (2 * w11_0 + w20_0)
-        + xi_xy * (2 * w11_0 * B + w20_0 * Bc + 2 * w11_t + w20_t)
-        + xi_yy * (4 * w11_t * B + 2 * w20_t * Bc)
-        + 6 * xi_xxx
-        + xi_xyy * (2 * B * B + 4)
-        + xi_xxy * (2 * Bc + 4 * B)
-        + 6 * xi_yyy * B
-    )
-    c1 = ((1j / (2 * w0))
-          * (g20 * g11 - 2 * abs(g11) * abs(g11) - abs(g02) * abs(g02) / 3.0)
-          + g21 / 2.0)
+    try:
+        # the one trigonometric evaluation of omega0*tau everything shares
+        B = cmath.exp(-1j * w0 * tau)
+        Bc = B.conjugate()
+        D = 1.0 / (1.0 + eta * tau * xi_y * Bc)
+        Dc = D.conjugate()
+        g20 = Dc * eta * (2 * xi_xx + 2 * xi_xy * B + 2 * xi_yy * B * B)
+        g11 = Dc * eta * (2 * xi_xx + xi_xy * (B + Bc) + 2 * xi_yy)
+        g02 = Dc * eta * (2 * xi_xx + 2 * xi_xy * Bc + 2 * xi_yy * Bc * Bc)
+        E = -g20 / (Dc * (eta * xi_x + eta * xi_y * B * B - 2j * w0))
+        F = -g11 / (Dc * eta * (xi_y + xi_x))
+        # the manifold corrections w20(theta) = -p20 e - p02 / e + E e^2 and
+        # w11(theta) = p11 e - p11c / e + F, e = e^(i omega0 theta), at
+        # theta = 0, where e = 1, and at theta = -tau, where e = B
+        p20, p02 = g20 / (1j * w0), g02.conjugate() / (3j * w0)
+        p11, p11c = g11 / (1j * w0), g11.conjugate() / (1j * w0)
+        w20_0, w20_t = -p20 - p02 + E, -p20 * B - p02 / B + E * B * B
+        w11_0, w11_t = p11 - p11c + F, p11 * B - p11c / B + F
+        g21 = Dc * eta * (
+            2 * xi_xx * (2 * w11_0 + w20_0)
+            + xi_xy * (2 * w11_0 * B + w20_0 * Bc + 2 * w11_t + w20_t)
+            + xi_yy * (4 * w11_t * B + 2 * w20_t * Bc)
+            + 6 * xi_xxx
+            + xi_xyy * (2 * B * B + 4)
+            + xi_xxy * (2 * Bc + 4 * B)
+            + 6 * xi_yyy * B
+        )
+        c1 = ((1j / (2 * w0))
+              * (g20 * g11 - 2 * abs(g11) * abs(g11) - abs(g02) * abs(g02) / 3.0)
+              + g21 / 2.0)
+    except (OverflowError, ZeroDivisionError) as exc:
+        # abs() of an overflowing complex raises, as does a division by a
+        # product that underflows to 0
+        raise InvalidSpec(f"mu2 is outside the float range: the center-manifold "
+                          f"reduction fails with {exc}") from None
     alpha_prime = hopf.alpha_prime
     mu2 = _normal(-c1.real / alpha_prime, not any(coeffs.as_tuple()[2:9]))
     beta2 = 2.0 * c1.real

@@ -427,21 +427,34 @@ def quadratic_roots(spec: QuadraticBD) -> tuple[float, float]:
 
     With Q = -(c1 + sqrt(disc)), c1 = k - mu, they are 2 lam/Q and Q/2
     (Press et al., Numerical Recipes, 3rd ed., 2007, section 5.6): as
-    c1 > 0, neither is a difference of nearly equal numbers.  A root of
-    -0.0 is returned as 0.0.
+    c1 > 0, neither is a difference of nearly equal numbers.  Where
+    disc = c1*c1 - 4 lam overflows, its square root is taken without forming
+    it.  A root of -0.0 is returned as 0.0; a smaller root beyond the float
+    range as -inf.
 
     Raises
     ------
     NoEquilibrium
         If the discriminant is negative.
     """
-    c1 = spec.k - spec.mu
-    disc = c1 * c1 - 4.0 * spec.lam
-    if disc < 0.0:
-        raise NoEquilibrium(
-            f"quadratic discriminant negative ({disc:.6g}): no real equilibrium")
-    q = -(c1 + math.sqrt(disc))
-    return 2.0 * spec.lam / q + 0.0, 0.5 * q + 0.0
+    c1, lam = spec.k - spec.mu, spec.lam
+    disc = c1 * c1 - 4.0 * lam
+    if disc < math.inf:
+        if disc < 0.0:
+            raise NoEquilibrium(
+                f"quadratic discriminant negative ({disc:.6g}): no real equilibrium")
+        q = -(c1 + math.sqrt(disc))
+        return 2.0 * lam / q + 0.0, 0.5 * q + 0.0
+    # c1*c1 or 4 lam overflowed: with s = 2 sqrt(|lam|), half of sqrt(disc)
+    # is hypot(c1, s)/2 or sqrt((c1 - s)/2) sqrt((c1 + s)/2), and the roots
+    # come from q/4, which cannot overflow
+    s = 2.0 * math.sqrt(abs(lam))
+    if lam >= 0.0 and c1 < s:
+        raise NoEquilibrium("quadratic discriminant negative: no real equilibrium")
+    half_root = (math.hypot(0.5 * c1, 0.5 * s) if lam < 0.0
+                 else math.sqrt(0.5 * c1 - 0.5 * s) * math.sqrt(0.5 * c1 + 0.5 * s))
+    q4 = -(0.25 * c1 + 0.5 * half_root)
+    return 0.5 * lam / q4 + 0.0, 2.0 * q4 + 0.0
 
 
 def _normal(value: float, exact_zero: bool = False, name: str = "mu2") -> float:

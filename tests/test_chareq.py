@@ -134,10 +134,15 @@ def test_stability_verdict_critical_on_exact_boundary():
 
 
 def test_stability_verdict_rejects_bad_eta(ex1_coeffs):
-    with pytest.raises(InvalidSpec):
-        stability_verdict(ex1_coeffs, 0.0)
-    with pytest.raises(InvalidSpec):
-        stability_verdict(ex1_coeffs, -1.0)
+    for eta in (0.0, -1.0):
+        for check in (stability_verdict, sufficient_stable):
+            with pytest.raises(InvalidSpec):
+                check(ex1_coeffs, eta)
+        with pytest.raises(InvalidSpec):
+            char_value(ex1_coeffs, eta, 0j)
+    # e^(-lambda*tau) = e^1870 overflows: a bare OverflowError before
+    with pytest.raises(InvalidSpec, match="overflows"):
+        char_value(ex1_coeffs, 1.0, -1e4)
 
 
 @pytest.mark.parametrize("eta", [math.nan, math.inf, -math.inf])
@@ -148,6 +153,10 @@ def test_non_finite_gain_is_invalid(ex1_coeffs, eta):
         rightmost_roots(ex1_coeffs, eta)
     with pytest.raises(InvalidSpec, match="finite and positive"):
         RootSearchRegion.default_for(ex1_coeffs, eta)
+    with pytest.raises(InvalidSpec, match="finite and positive"):
+        sufficient_stable(ex1_coeffs, eta)
+    with pytest.raises(InvalidSpec, match="finite and positive"):
+        char_value(ex1_coeffs, eta, 0j)
 
 
 def test_sufficient_condition_first_set(ex1_coeffs):

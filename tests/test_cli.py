@@ -1,5 +1,6 @@
 """End-to-end CLI tests: config parsing, outputs, exit codes, determinism."""
 import configparser
+import contextlib
 import csv
 import dataclasses
 import io
@@ -13,6 +14,8 @@ import textwrap
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import delaybif
 from delaybif import (
@@ -531,10 +534,18 @@ def test_invalid_model_maps_to_exit_3(tmp_path, capsys):
     assert "k > mu required" in err
 
 
+# abs(g11) overflows in the center-manifold reduction: a bare OverflowError
+_CM_OVERFLOW = ("xi_x = -4.7288987289506465e-42\nxi_y = -1.6096531660931157e-41\n"
+                "xi_xx = -638567625346887.4\nxi_xy = 3.508645126459668e+132\n"
+                "xi_xxx = 1.9832955350508813e-107\nxi_xyy = -2.6620490097173463e+83\n"
+                "xi_yyy = -1.0097505718675005e-160\ntau = 4.4697963188892495e-136\n")
+
+
 @pytest.mark.parametrize("coeffs", [
     "xi_x = 0\nxi_y = -1e-170\nxi_xx = 1\ntau = 1\n",
     "xi_x = -2e199\nxi_y = -1e200\nxi_xx = 1\ntau = 1.5e-200\n",
-], ids=["tiny-b", "huge-b"])
+    _CM_OVERFLOW,
+], ids=["tiny-b", "huge-b", "center-manifold-overflow"])
 def test_analyze_mu2_outside_the_float_range_exits_3(tmp_path, capsys, coeffs):
     ini = "[model]\nvariant = generic\n" + coeffs
     code, stdout, err, out = _run(tmp_path, capsys, "analyze", ini=ini)
@@ -801,3 +812,40 @@ def test_csv_table_is_what_csv_writer_writes(tmp_path, capsys, monkeypatch, name
         assert any(isinstance(value, str) for value in values)
     if name == "eta":
         assert any(isinstance(value, float) and math.isnan(value) for value in values)
+
+
+# --- exit-code contract ----------------------------------------------------
+
+_MAGNITUDE = st.floats(-690.0, 690.0).map(math.exp)  # log-uniform, 1e-300..1e300
+_COEFFICIENT = st.one_of(st.just(0.0), _MAGNITUDE, _MAGNITUDE.map(lambda x: -x))
+_HIGHER = ("xi_xx", "xi_xy", "xi_yy", "xi_xxx", "xi_xxy", "xi_xyy", "xi_yyy")
+
+
+@st.composite
+def _generic_runs(draw):
+    """A subcommand and a generic config anywhere in the float range."""
+    tau = draw(_MAGNITUDE)
+    lines = [f"xi_x = {-draw(_MAGNITUDE)!r}", f"xi_y = {-draw(_MAGNITUDE)!r}",
+             *(f"{name} = {draw(_COEFFICIENT)!r}" for name in _HIGHER), f"tau = {tau!r}"]
+    ini = ("[model]\nvariant = generic\n" + "\n".join(lines)
+           + f"\n[analysis]\neta = {draw(_MAGNITUDE)!r}\n")
+    command = draw(st.sampled_from(["analyze", "roots", "sweep tau", "sweep epsilon"]))
+    if command == "sweep tau":
+        ini += _sweep_ini("tau", tau, 2.0 * tau, 2)
+    elif command == "sweep epsilon":
+        ini += _sweep_ini("epsilon", 0.0, 0.9, 2)
+    return command.split()[0], ini
+
+
+@given(run=_generic_runs())
+@example(run=("analyze", "[model]\nvariant = generic\n" + _CM_OVERFLOW))
+@settings(max_examples=25, deadline=None)
+def test_every_run_exits_with_a_documented_code(tmp_path_factory, run):
+    # no traceback over the float range: an escaping exception fails the test
+    command, ini = run
+    where = tmp_path_factory.mktemp("run")
+    config = where / "run.ini"
+    config.write_text(ini)
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main([command, "--config", str(config), "--out", str(where / "out")])
+    assert code in (0, 2, 3, 4)

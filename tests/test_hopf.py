@@ -219,6 +219,26 @@ def test_mu2_outside_the_float_range_is_invalid(route, coeffs):
         route(coeffs)
 
 
+# abs(g11) overflows at the first set; at the second, eta_c = 5e-324 makes
+# the divisor of F underflow to 0
+_CM_OVERFLOW = TaylorCoefficients(
+    xi_x=-4.7288987289506465e-42, xi_y=-1.6096531660931157e-41, xi_xx=-638567625346887.4,
+    xi_xy=3.508645126459668e+132, xi_xxx=1.9832955350508813e-107,
+    xi_xyy=-2.6620490097173463e+83, xi_yyy=-1.0097505718675005e-160,
+    tau=4.4697963188892495e-136)
+_CM_ZERO_DIVISOR = TaylorCoefficients(
+    xi_x=-2.3639950806725393e+227, xi_y=-3.724565895976643e+227, xi_xx=-5.272349006302229e+86,
+    xi_xy=1.566818513035908e-14, xi_yy=-7.846070331634474e-183, xi_xxx=9.332258616409857e-282,
+    xi_xyy=4.865225882673995e+69, xi_yyy=8.279919337422847e+30, tau=2.0272313340593294e+96)
+
+
+@pytest.mark.parametrize("coeffs", [_CM_OVERFLOW, _CM_ZERO_DIVISOR],
+                         ids=["overflow", "zero-divisor"])
+def test_center_manifold_arithmetic_outside_the_float_range_is_invalid(coeffs):
+    with pytest.raises(InvalidSpec, match="^mu2 is outside the float range"):
+        mu2_center_manifold(coeffs, critical_eta(coeffs))
+
+
 def test_linear_set_keeps_its_exact_zero_mu2():
     c = TaylorCoefficients(xi_x=-0.5, xi_y=-2.0, tau=1.0)
     assert mu2_closed_form(c) == 0.0

@@ -140,6 +140,22 @@ def test_quadratic_tiny_root_is_analyzable():
     assert taylor_coefficients(spec).a >= 0.0
 
 
+def test_quadratic_root_where_the_discriminant_overflows():
+    # c1*c1 - 4 lam overflowed to inf, which gave the roots (0.0, -inf)
+    spec = QuadraticBD(k=1e200, mu=-1.0, lam=-1.0, tau=1.0)
+    assert quadratic_roots(spec) == (1e-200, -1e200)
+    report = equilibrium(spec)
+    assert (report.x_e, report.residual) == (1e-200, 0.0)
+
+
+def test_quadratic_outside_the_cone_where_the_discriminant_overflows():
+    # both roots, -1e-200 and -1e200, sit at a = 2x < 0; the overflowed
+    # discriminant had reported x_e = 0.0
+    spec = QuadraticBD(k=1e200, mu=0.0, lam=1.0, tau=1.0)
+    with pytest.raises(InvariantViolation):
+        equilibrium(spec)
+
+
 def test_quadratic_no_real_equilibrium():
     spec = QuadraticBD(k=2.0, mu=1.0, lam=10.0, tau=0.5)
     with pytest.raises(NoEquilibrium):
