@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import InvalidSpec, NoConvergence
-from .models import TaylorCoefficients
+from .models import TaylorCoefficients, _normal
 
 __all__ = [
     "HopfPoint",
@@ -106,22 +106,12 @@ class RootSearchRegion:
         return cls(re_min=re_min, re_max=re_max, im_max=im_max)
 
 
-def _stability_limit(a: float, b: float) -> tuple[float, float]:
-    """(arccos(-e), sqrt(b^2 - a^2)), e = a/b: stable iff eta*tau*s < theta.
-
-    With r = sqrt((1 - e)(1 + e)), 1 - e taken as (b - a)/b, the pair is
-    (atan2(r, -e), b*r): no b*b is formed, and no digits are lost as a -> b.
-    """
-    e = a / b
-    r = math.sqrt((b - a) / b * (1.0 + e))
-    return math.atan2(r, -e), b * r
-
-
 def critical_eta(coeffs: TaylorCoefficients) -> HopfPoint:
     """Hopf point of the linearization.
 
-    With theta = arccos(-e), e = a/b, s = sqrt(b^2 - a^2) and r = s/b, the
-    crossing is at omega0 = theta/tau and eta_c = theta/(tau*s), and
+    With the cone's theta = arccos(-e) and r = sqrt(1 - e^2), e = a/b, and
+    s = b*r, the crossing is at omega0 = theta/tau and eta_c = theta/(tau*s),
+    and
 
         alpha'(0) = theta*s / (1 + (2*theta*e + theta^2/r)/r)
 
@@ -130,45 +120,38 @@ def critical_eta(coeffs: TaylorCoefficients) -> HopfPoint:
     Raises
     ------
     InvalidSpec
-        If tau <= 0, or a field is not a finite positive float (eta_c
-        overflows where tau*b underflows, say).
+        If tau <= 0, or a field of the Hopf point is not a normal float
+        (eta_c overflows where tau*b underflows, say).
     """
-    a, b = coeffs.a, coeffs.b
     tau = coeffs.tau
     if tau <= 0.0:
         raise InvalidSpec("critical_eta needs tau > 0")
-    theta, s = _stability_limit(a, b)
-    if s > 0.0:
-        omega0, r = theta / tau, s / b
-        eta_c, period = omega0 / s, 2.0 * math.pi / omega0
-        alpha_prime = theta * (s / (1.0 + (2.0 * theta * (a / b) + theta * theta / r) / r))
-        if min(eta_c, alpha_prime) > 0.0 and max(eta_c, omega0, period, alpha_prime) < math.inf:
-            return HopfPoint(eta_c=eta_c, omega0=omega0, period=period,
-                             frequency=omega0 / (2.0 * math.pi),
-                             alpha_prime=alpha_prime)
-    raise InvalidSpec(f"the Hopf point of a = {a!r}, b = {b!r}, tau = {tau!r} "
-                      "is outside the float range")
+    theta, s = coeffs.theta, coeffs.b * coeffs.r
+    omega0, r = _normal(theta / tau, name="omega0"), s / coeffs.b
+    alpha_prime = theta * (s / (1.0 + (2.0 * theta * coeffs.epsilon + theta * theta / r) / r))
+    return HopfPoint(eta_c=_normal(omega0 / s, name="eta_c"), omega0=omega0,
+                     period=_normal(2.0 * math.pi / omega0, name="period"),
+                     frequency=_normal(omega0 / (2.0 * math.pi), name="frequency"),
+                     alpha_prime=_normal(alpha_prime, name="alpha_prime"))
 
 
 def stability_verdict(coeffs: TaylorCoefficients, eta: float) -> str:
     """Classify eta against the stability boundary.
 
-    Returns ``"stable"`` when eta*tau*sqrt(b^2-a^2) < arccos(-a/b) holds
-    strictly, ``"critical"`` on exact equality (the Hopf point itself), and
-    ``"unstable"`` beyond it.
+    Returns ``"stable"`` when eta*tau*b*r < theta holds strictly (the cone
+    of TaylorCoefficients), ``"critical"`` on exact equality (the Hopf point
+    itself), and ``"unstable"`` beyond it.
     """
-    a, b = coeffs.a, coeffs.b
     _require_gain(eta)
     if coeffs.tau <= 0.0:
         raise InvalidSpec("stability verdict needs tau > 0")
-    rhs, _ = _stability_limit(a, b)
-    # b and r = s/b enter apart, since a subnormal s = b*r has lost digits;
+    # b and r enter apart, since a subnormal s = b*r has lost digits;
     # smallest times largest first, eta*tau*b over- or underflows only where it does
-    lo, mid, hi = sorted((eta, coeffs.tau, b))
-    lhs = lo * hi * mid * math.sqrt((b - a) / b * (1.0 + a / b))
-    if lhs < rhs:
+    lo, mid, hi = sorted((eta, coeffs.tau, coeffs.b))
+    lhs = lo * hi * mid * coeffs.r
+    if lhs < coeffs.theta:
         return "stable"
-    if lhs == rhs:
+    if lhs == coeffs.theta:
         return "critical"
     return "unstable"
 

@@ -15,13 +15,12 @@ import cmath
 import dataclasses
 import enum
 import math
-import sys
 from dataclasses import dataclass
 from typing import Optional
 
 from .chareq import _INV_E, _lambert_w0, _require_gain, stability_verdict
 from .errors import InvalidSpec
-from .models import TaylorCoefficients
+from .models import TaylorCoefficients, _normal
 
 __all__ = [
     "Regime",
@@ -62,13 +61,9 @@ class ConvergenceReport:
 def _scaled(coeffs: TaylorCoefficients, eta: float) -> tuple[float, float, float]:
     """Fold the gain into the linear coefficients: (eta*a, eta*b, tau)."""
     _require_gain(eta)
-    a, b = eta * coeffs.a, eta * coeffs.b
     # 0 <= a < b, so a is finite whenever b is; a subnormal b has lost
     # digits, and tau* ~ 1/b overflows
-    if not sys.float_info.min <= b < math.inf:
-        raise InvalidSpec(f"eta = {eta!r} scales b = {coeffs.b!r} out of the "
-                          "normal float range")
-    return a, b, coeffs.tau
+    return eta * coeffs.a, _normal(eta * coeffs.b, name="eta*b"), coeffs.tau
 
 
 def _delay_product(a: float, b: float, tau: float) -> float:

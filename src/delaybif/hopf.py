@@ -22,7 +22,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .chareq import HopfPoint, _stability_limit
+from .chareq import HopfPoint
 from .errors import DegenerateEpsilon, InvalidSpec
 from .models import Nicholson, TaylorCoefficients, _normal
 
@@ -91,25 +91,14 @@ def _checked_epsilon(e: float) -> float:
     return e
 
 
-def _eps_parts(a: float, b: float = 1.0) -> tuple[float, float, float]:
-    """(1 - e^2, sqrt(1 - e^2), arccos(-e)) of e = a/b, guarded to [0, 1).
-
-    The last two are chareq._stability_limit's r and theta: with 1 - e taken
-    as (b - a)/b, none loses the digits of b - a as a -> b.
-    """
-    e = _checked_epsilon(a / b)
-    one_e2 = (b - a) / b * (1.0 + e)
-    return one_e2, math.sqrt(one_e2), _stability_limit(a, b)[0]
-
-
 def mu2_closed_form(coeffs: TaylorCoefficients) -> float:
     """First Lyapunov coefficient from the closed-form expression.
 
     The value is a rational-trigonometric function of epsilon = a/b scaled
     by powers of b, with one brace collecting the six quadratic-coefficient
-    products and one the four cubic coefficients.  1 - e^2 and arccos(-e)
-    are taken from (b - a)/b, as chareq._stability_limit takes them, so the
-    value keeps its digits at the cone edge a -> b.
+    products and one the four cubic coefficients.  1 - e^2, sqrt(1 - e^2)
+    and arccos(-e) are the cone of TaylorCoefficients, taken from (b - a)/b,
+    so the value keeps its digits at the cone edge a -> b.
 
     It is mu2_center_manifold's mu2 divided by eta_c: per unit relative
     gain, so the cycle just above onset has amplitude^2 close to
@@ -127,14 +116,11 @@ def mu2_closed_form(coeffs: TaylorCoefficients) -> float:
 
     Raises
     ------
-    DegenerateEpsilon
-        If epsilon lies outside [0, 1).
     InvalidSpec
         If mu2 leaves the normal float range, as it can at extreme b.
     """
-    b = coeffs.b
-    e = coeffs.epsilon
-    one_e2, ck, ht = _eps_parts(coeffs.a, b)
+    b, e = coeffs.b, coeffs.epsilon
+    one_e2, ck, ht = coeffs.one_minus_e2, coeffs.r, coeffs.theta
     xx, xy, yy = coeffs.xi_xx, coeffs.xi_xy, coeffs.xi_yy
     xxx, xxy, xyy, yyy = coeffs.xi_xxx, coeffs.xi_xxy, coeffs.xi_xyy, coeffs.xi_yyy
     quad = (
@@ -295,7 +281,8 @@ def nicholson_mu2_shape(epsilon: float, x0_size: float = 1.0) -> float:
         If x0_size squared, or mu2, is outside the normal float range.
     """
     eps = epsilon
-    one_e2, ck, ht = _eps_parts(eps)
+    cone = TaylorCoefficients(xi_x=-_checked_epsilon(eps), xi_y=-1.0)
+    one_e2, ck, ht = cone.one_minus_e2, cone.r, cone.theta
     first = ((1 - eps) / ((1 + eps) ** 2 * ht * (5 - 4 * eps))
              * (ck * (-8 * eps**3 - 8 * eps**2 + 26 * eps - 4)
                 + ht * (-4 * eps**2 - 12 * eps + 22)))

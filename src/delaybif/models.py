@@ -45,7 +45,8 @@ class TaylorCoefficients:
 
     with u_d = u(t - tau).  Accessors ``a = -xi_x``, ``b = -xi_y`` and
     ``epsilon = a/b`` name the linear part the way every stability formula
-    consumes it.
+    consumes it, and ``one_minus_e2``, ``r`` and ``theta`` the stability
+    cone: the linearization at gain eta is stable iff eta*tau*b*r < theta.
 
     Construction enforces b > 0, a >= 0 and b > a, the cone on which the
     whole analysis is defined.  ``tau = 0`` is tolerated so the undelayed
@@ -87,6 +88,24 @@ class TaylorCoefficients:
     @property
     def epsilon(self) -> float:
         return self.a / self.b
+
+    # the cone, computed once per coefficient set; a cached property is no
+    # field, so equality, fields() and the artifacts do not see it
+    @functools.cached_property
+    def one_minus_e2(self) -> float:
+        """1 - e^2 as (1 - e)(1 + e), 1 - e taken as (b - a)/b: no b*b is
+        formed, and no digits of b - a are lost as a -> b."""
+        return (self.b - self.a) / self.b * (1.0 + self.epsilon)
+
+    @functools.cached_property
+    def r(self) -> float:
+        """sqrt(1 - e^2): b*r is sqrt(b^2 - a^2)."""
+        return math.sqrt(self.one_minus_e2)
+
+    @functools.cached_property
+    def theta(self) -> float:
+        """arccos(-e), taken as atan2(r, -e)."""
+        return math.atan2(self.r, -self.epsilon)
 
     def as_tuple(self):
         return (self.xi_x, self.xi_y, self.xi_xx, self.xi_xy, self.xi_yy,
@@ -275,27 +294,38 @@ class CubicBD(_DelayedPolynomial):
 
     Its expression is that polynomial as x(mu - x^2) - (lam + k y).  Its
     equilibrium is the unique real root of x^3 + (k - mu) x + lam, taken
-    from its hyperbolic closed form and polished by three Newton steps.
+    from its hyperbolic closed form and polished by three Newton steps on
+    a residual free of the rounding of c1*x + lam.
     """
 
     variant = "cubic"
     expression = "x * (mu - x * x) - (lam + k * y)"
 
     def equilibrium(self) -> EquilibriumReport:
-        # with c1 = k - mu > 0 the one real root is -2s sinh(asinh(w)/3),
-        # s = sqrt(c1/3), w = lam/(2s^3), s^3 never formed; where that is
-        # not finite (w overflows, or c1/3 underflows to 0) it starts from
-        # -cbrt(lam).  Newton polishes, skipping a step that overflows;
-        # + 0.0 turns a root of -0.0 into 0.0
-        c1, lam = self.k - self.mu, self.lam
-        s = math.sqrt(c1 / 3.0)
-        x = -2.0 * s * math.sinh(math.asinh(lam / (2.0 * s) / s / s) / 3.0) if s else math.nan
-        if not math.isfinite(x):
-            x = -math.copysign(abs(lam) ** (1.0 / 3.0), lam)
+        # it solves for y = 2^n x, the root of y^3 + c y + lam_n with
+        # c = 4^n c1, c1 = k - mu > 0, and lam_n = 8^n lam: n = 36 where
+        # |lam| < 2^-900 makes the error of c*y a normal float, and ldexp
+        # scales back exactly, or rounds a subnormal x once.  The one real
+        # root is -2s sinh(asinh(w)/3), s = sqrt(c/3), w = lam_n/(2s^3), s^3
+        # never formed; where that is not finite (w overflows, or c/3
+        # underflows to 0) it starts from -cbrt(lam_n).  Newton polishes,
+        # skipping a step that overflows, on a residual that sums c*y, lam_n
+        # and the rounding errors of c1 and c*y exactly: c*y nearly cancels
+        # lam_n wherever y^3 is small.  + 0.0 turns a root of -0.0 into 0.0
+        (c1, c1_err), lam = _two_sum(self.k, -self.mu), self.lam
+        n = 36 if abs(lam) < 2.0 ** -900 and c1 < 2.0 ** 900 else 0
+        c, c_err, lam_n = math.ldexp(c1, 2 * n), math.ldexp(c1_err, 2 * n), math.ldexp(lam, 3 * n)
+        s = math.sqrt(c / 3.0)
+        y = -2.0 * s * math.sinh(math.asinh(lam_n / (2.0 * s) / s / s) / 3.0) if s else math.nan
+        if not math.isfinite(y):
+            y = -math.copysign(abs(lam_n) ** (1.0 / 3.0), lam_n)
         for _ in range(3):
-            step = (x * x * x + c1 * x + lam) / (3.0 * x * x + c1)
+            (p, p_err), y3 = _two_product(c, y), y * y * y
+            t, t_err = _two_sum(p, lam_n)
+            step = (t + (p_err + t_err + c_err * y + y3)) / (3.0 * y * y + c)
             if abs(step) < math.inf:
-                x -= step
+                y -= step
+        x = math.ldexp(y, -n)
         return EquilibriumReport(x_e=x + 0.0, residual=abs(x * x * x + c1 * x + lam))
 
     def taylor_coefficients(self) -> TaylorCoefficients:
@@ -419,7 +449,9 @@ class Generic(ModelSpec):
         return self.coeffs
 
     def constants(self) -> dict:
-        return {name: value for name, value in vars(self.coeffs).items() if name != "tau"}
+        # fields, not vars(): the cone accessors cache their values there
+        return {f.name: getattr(self.coeffs, f.name)
+                for f in fields(self.coeffs) if f.name != "tau"}
 
 
 def quadratic_roots(spec: QuadraticBD) -> tuple[float, float]:
@@ -455,6 +487,33 @@ def quadratic_roots(spec: QuadraticBD) -> tuple[float, float]:
                  else math.sqrt(0.5 * c1 - 0.5 * s) * math.sqrt(0.5 * c1 + 0.5 * s))
     q4 = -(0.25 * c1 + 0.5 * half_root)
     return 0.5 * lam / q4 + 0.0, 2.0 * q4 + 0.0
+
+
+def _two_sum(a: float, b: float) -> tuple[float, float]:
+    """(s, e) with s = a + b rounded and s + e = a + b exactly (Knuth)."""
+    s = a + b
+    b_part = s - a
+    return s, (a - (s - b_part)) + (b - b_part)
+
+
+def _split(a: float) -> tuple[float, float]:
+    """a as hi + lo, halves of at most 26 bits, by Veltkamp's 2^27 + 1;
+    where that product would overflow, on a copy scaled by 2^-28."""
+    if abs(a) > 2.0 ** 995:
+        hi, lo = _split(a * 2.0 ** -28)
+        return hi * 2.0 ** 28, lo * 2.0 ** 28
+    c = 134217729.0 * a
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _two_product(a: float, b: float) -> tuple[float, float]:
+    """(p, e) with p = a*b rounded and p + e = a*b exactly (Dekker 1971),
+    wherever the partial products of the halves neither over- nor
+    underflow."""
+    p = a * b
+    (a_hi, a_lo), (b_hi, b_lo) = _split(a), _split(b)
+    return p, ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
 
 
 def _normal(value: float, exact_zero: bool = False, name: str = "mu2") -> float:

@@ -56,3 +56,9 @@ NICHOLSON_MU2 = {
     0.5: 1.2948874095850418,
     0.8: 6.3606494059489201,
 }
+
+# Cubic equilibrium where c1*x nearly cancels lam: the real root of
+# x^3 + (k - mu) x + lam at k = 6.342023506695012, mu = -1.789468281761974,
+# lam = -0.5051897061202594, to 40 digits (60-digit arithmetic on the exact
+# float inputs)
+CUBIC_CANCELLING_XE = "0.06209810673104962419148893965987630770606"

@@ -96,6 +96,24 @@ def test_hopf_point_outside_float_range_is_invalid():
         critical_eta(TaylorCoefficients(xi_x=0.0, xi_y=-1e-300, tau=1e-300))
 
 
+@pytest.mark.parametrize("coeffs, name", [
+    # theta/(tau*s) is about 3.7e-324: eta_c came out as the one subnormal
+    # step 5e-324, 33% off, where stability_verdict said "unstable"
+    (TaylorCoefficients(xi_x=-2.3639950806725393e+227, xi_y=-3.724565895976643e+227,
+                        tau=2.0272313340593294e+96), "eta_c = 5e-324"),
+    # b - a = 2^-40 b: alpha' came out as 7.8087e-319
+    (TaylorCoefficients(xi_x=-9.999999999990906e-301, xi_y=-1e-300, tau=10.0), "alpha_prime"),
+    # theta/tau = 1.3e-308 is subnormal
+    (TaylorCoefficients(xi_x=0.0, xi_y=-1.0, tau=1.2e308), "omega0"),
+    # omega0 = 7.9e-308 is normal, the period 8e307 finite, but the
+    # frequency came out as 1.25e-308
+    (TaylorCoefficients(xi_x=0.0, xi_y=-1.0, tau=2e307), "frequency"),
+], ids=["eta_c", "alpha_prime", "omega0", "frequency"])
+def test_subnormal_hopf_point_is_invalid(coeffs, name):
+    with pytest.raises(InvalidSpec, match=f"^{name}.* is outside the normal float range"):
+        critical_eta(coeffs)
+
+
 def test_stability_limit_where_b_squared_underflows():
     # b*b = 1e-340 underflows to 0; the limit is eta*tau*b = pi/2
     c = TaylorCoefficients(xi_x=0.0, xi_y=-1e-170, tau=1.0)

@@ -534,6 +534,9 @@ def test_invalid_model_maps_to_exit_3(tmp_path, capsys):
     assert "k > mu required" in err
 
 
+# critical_eta's theta/(tau*s) is about 3.7e-324, a subnormal eta_c
+_SUBNORMAL_ETA_C = ("xi_x = -2.3639950806725393e+227\nxi_y = -3.724565895976643e+227\n"
+                    "tau = 2.0272313340593294e+96\n")
 # abs(g11) overflows in the center-manifold reduction: a bare OverflowError
 _CM_OVERFLOW = ("xi_x = -4.7288987289506465e-42\nxi_y = -1.6096531660931157e-41\n"
                 "xi_xx = -638567625346887.4\nxi_xy = 3.508645126459668e+132\n"
@@ -551,6 +554,15 @@ def test_analyze_mu2_outside_the_float_range_exits_3(tmp_path, capsys, coeffs):
     code, stdout, err, out = _run(tmp_path, capsys, "analyze", ini=ini)
     assert code == 3
     assert err.startswith("error: mu2")
+    assert stdout == ""
+    assert not (out / "analyze.json").exists()
+
+
+def test_analyze_subnormal_hopf_point_exits_3(tmp_path, capsys):
+    ini = "[model]\nvariant = generic\n" + _SUBNORMAL_ETA_C
+    code, stdout, err, out = _run(tmp_path, capsys, "analyze", ini=ini)
+    assert code == 3
+    assert err == "error: eta_c = 5e-324 is outside the normal float range\n"
     assert stdout == ""
     assert not (out / "analyze.json").exists()
 
@@ -839,6 +851,7 @@ def _generic_runs(draw):
 
 @given(run=_generic_runs())
 @example(run=("analyze", "[model]\nvariant = generic\n" + _CM_OVERFLOW))
+@example(run=("analyze", "[model]\nvariant = generic\n" + _SUBNORMAL_ETA_C))
 @settings(max_examples=25, deadline=None)
 def test_every_run_exits_with_a_documented_code(tmp_path_factory, run):
     # no traceback over the float range: an escaping exception fails the test

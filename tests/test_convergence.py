@@ -28,8 +28,6 @@ from delaybif import (
     tau_star,
 )
 
-from delaybif.chareq import _stability_limit
-
 from _oracles import (
     EX1_TAU_STAR,
     ROOT_A0_B1_TAU03,
@@ -385,7 +383,8 @@ def test_regime_is_unstable_exactly_where_the_verdict_is_not_stable(
     # a subnormal s = b*r has lost digits: take s at a and b scaled up by
     # 2^k, which is exact, and divide the scale out in the logarithm
     k = max(0, -math.frexp(c.b)[1])
-    theta, s = _stability_limit(math.ldexp(c.a, k), math.ldexp(c.b, k))
+    cone = TaylorCoefficients(xi_x=-math.ldexp(c.a, k), xi_y=-math.ldexp(c.b, k))
+    theta, s = cone.theta, cone.b * cone.r
     assume(s > 0.0)
     log_tau = math.log(ratio * theta) - math.log(s) + k * math.log(2.0) - math.log(eta)
     assume(log_tau < math.log(sys.float_info.max))

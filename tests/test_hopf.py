@@ -18,6 +18,7 @@ from delaybif import (
     CycleStability,
     DegenerateEpsilon,
     Direction,
+    HopfPoint,
     InvalidSpec,
     Nicholson,
     QuadraticBD,
@@ -220,7 +221,8 @@ def test_mu2_outside_the_float_range_is_invalid(route, coeffs):
 
 
 # abs(g11) overflows at the first set; at the second, eta_c = 5e-324 makes
-# the divisor of F underflow to 0
+# the divisor of F underflow to 0.  critical_eta rejects that subnormal
+# eta_c, so the second set takes the Hopf point it gave before it did
 _CM_OVERFLOW = TaylorCoefficients(
     xi_x=-4.7288987289506465e-42, xi_y=-1.6096531660931157e-41, xi_xx=-638567625346887.4,
     xi_xy=3.508645126459668e+132, xi_xxx=1.9832955350508813e-107,
@@ -230,13 +232,17 @@ _CM_ZERO_DIVISOR = TaylorCoefficients(
     xi_x=-2.3639950806725393e+227, xi_y=-3.724565895976643e+227, xi_xx=-5.272349006302229e+86,
     xi_xy=1.566818513035908e-14, xi_yy=-7.846070331634474e-183, xi_xxx=9.332258616409857e-282,
     xi_xyy=4.865225882673995e+69, xi_yyy=8.279919337422847e+30, tau=2.0272313340593294e+96)
+_CM_ZERO_DIVISOR_HOPF = HopfPoint(
+    eta_c=5e-324, omega0=1.114042132815505e-96, period=5.639988939466921e+96,
+    frequency=1.7730531225022543e-97, alpha_prime=4.90530865826069e+226)
 
 
-@pytest.mark.parametrize("coeffs", [_CM_OVERFLOW, _CM_ZERO_DIVISOR],
+@pytest.mark.parametrize("coeffs, hopf", [(_CM_OVERFLOW, None),
+                                          (_CM_ZERO_DIVISOR, _CM_ZERO_DIVISOR_HOPF)],
                          ids=["overflow", "zero-divisor"])
-def test_center_manifold_arithmetic_outside_the_float_range_is_invalid(coeffs):
+def test_center_manifold_arithmetic_outside_the_float_range_is_invalid(coeffs, hopf):
     with pytest.raises(InvalidSpec, match="^mu2 is outside the float range"):
-        mu2_center_manifold(coeffs, critical_eta(coeffs))
+        mu2_center_manifold(coeffs, hopf or critical_eta(coeffs))
 
 
 def test_linear_set_keeps_its_exact_zero_mu2():

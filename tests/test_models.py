@@ -1,9 +1,12 @@
 """Model definitions: equilibria, Taylor tables, validation, rhs evaluation."""
+import dataclasses
 import math
+import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from delaybif import (
@@ -22,7 +25,7 @@ from delaybif import (
     taylor_coefficients,
 )
 
-from _oracles import EX1_A, EX1_EPS, EX1_XE, EX2_A, EX2_EPS, EX2_XE
+from _oracles import CUBIC_CANCELLING_XE, EX1_A, EX1_EPS, EX1_XE, EX2_A, EX2_EPS, EX2_XE
 
 
 # --- equilibria ------------------------------------------------------------
@@ -75,14 +78,42 @@ def test_cubic_equilibrium_at_large_lam(k, lam):
 
 
 @pytest.mark.parametrize("k, mu", [(5e-324, 0.0), (1e-300, 0.0), (1e-100, 0.0), (2.0, 1.0),
-                                   (1e100, 1.0), (1e300, 0.0)])
-@pytest.mark.parametrize("lam", [0.0, 1e-300, -1e-300, 1e300, -1e300])
+                                   (1e100, 1.0), (1e300, 0.0), (1e308, 0.0)])
+@pytest.mark.parametrize("lam", [0.0, 1.0, 1e-300, -1e-300, 1e300, -1e300])
 def test_cubic_equilibrium_over_the_float_range(k, mu, lam):
     # c1 = k - mu = 5e-324 underflows to 0 in c1/3, and at c1 = 1e-300,
-    # |lam| = 1e300 lam/(2 s^3) overflows: both start Newton from -cbrt(lam)
+    # |lam| = 1e300 lam/(2 s^3) overflows: both start Newton from -cbrt(lam);
+    # at c1 = 1e308, lam = 1 w underflows to 0, and Newton from 0 needs the
+    # split of c1, which overflows unless it is scaled
     spec = CubicBD(k=k, mu=mu, lam=lam, tau=1.0)
     x_e = equilibrium(spec).x_e
     assert math.isfinite(x_e) and _within_ulps(spec, x_e)
+
+
+def test_cubic_equilibrium_where_c1_x_cancels_lam():
+    # the float residual x^3 + c1 x + lam carried an error of about
+    # ulp(lam), which moved Newton's fixed point 3 ulps, to 0.06209810673104961
+    x_e = CubicBD(k=6.342023506695012, mu=-1.789468281761974, lam=-0.5051897061202594,
+                  tau=1.0).equilibrium().x_e
+    assert abs(Fraction(x_e) - Fraction(Decimal(CUBIC_CANCELLING_XE))) <= math.ulp(x_e)
+
+
+def test_cubic_equilibrium_at_a_subnormal_lam():
+    # lam/(2s) was subnormal and c1*x + lam quantized to 5e-324, which gave
+    # -4.94068268e-314 for the root -4.9406564584e-314
+    spec = CubicBD(k=1e-10, mu=0.0, lam=5e-324, tau=1.0)
+    assert _within_ulps(spec, spec.equilibrium().x_e, ulps=1)
+
+
+def test_cubic_equilibria_over_subnormal_lam():
+    # c1 log-uniform over 1e-300..1e300 and lam a multiple of 5e-324 below
+    # 2^40 times it: an unscaled solve put 456 of these 3,000 more than 2
+    # ulps from the root
+    rng = random.Random(1)
+    specs = [CubicBD(k=math.exp(rng.uniform(math.log(1e-300), math.log(1e300))), mu=0.0,
+                     lam=rng.choice((-1.0, 1.0)) * rng.randrange(1, 2 ** 40) * 5e-324, tau=1.0)
+             for _ in range(3000)]
+    assert [spec for spec in specs if not _within_ulps(spec, spec.equilibrium().x_e)] == []
 
 
 def test_zero_equilibria_are_positive_zero():
@@ -107,6 +138,59 @@ def test_generic_equilibrium_is_origin(wright_coeffs):
     rep = equilibrium(Generic(wright_coeffs))
     assert rep.x_e == 0.0
     assert rep.residual == 0.0
+
+
+# --- the stability cone ---------------------------------------------------
+
+_LOG_UNIFORM = st.floats(math.log(1e-300), math.log(1e300)).map(math.exp)
+
+
+@st.composite
+def _cone_points(draw):
+    """0 <= a < b with b log-uniform over 1e-300..1e300 and a zero,
+    log-uniform below b, or within 2^20 ulps of b."""
+    lo, b = sorted((draw(_LOG_UNIFORM), draw(_LOG_UNIFORM)))
+    a = draw(st.one_of(st.just(0.0), st.just(lo),
+                       st.integers(1, 2 ** 20).map(lambda n: b - n * math.ulp(b))))
+    assume(a < b)
+    return a, b
+
+
+def _removed_spellings(a, b):
+    """The three spellings of the cone the accessors replace, as written:
+    the stability limit (theta, s) of critical_eta, the r of
+    stability_verdict, and the (1 - e^2, r, theta) of the closed-form mu2."""
+    e = a / b
+    r = math.sqrt((b - a) / b * (1.0 + e))
+    limit = (math.atan2(r, -e), b * r)
+    verdict_r = math.sqrt((b - a) / b * (1.0 + a / b))
+    one_e2 = (b - a) / b * (1.0 + e)
+    return limit, verdict_r, (one_e2, math.sqrt(one_e2), limit[0])
+
+
+def _bits(*values):
+    return [value.hex() for value in values]
+
+
+@given(point=_cone_points())
+@settings(max_examples=300, deadline=None)
+def test_cone_accessors_equal_the_spellings_they_replace(point):
+    a, b = point
+    c = TaylorCoefficients(xi_x=-a, xi_y=-b)
+    limit, verdict_r, eps_parts = _removed_spellings(a, b)
+    assert _bits(c.theta, c.b * c.r) == _bits(*limit)
+    assert _bits(c.r) == _bits(verdict_r)
+    assert _bits(c.one_minus_e2, c.r, c.theta) == _bits(*eps_parts)
+
+
+def test_cone_accessors_are_no_fields():
+    c, fresh = TaylorCoefficients(xi_x=-0.5, xi_y=-2.0), TaylorCoefficients(xi_x=-0.5, xi_y=-2.0)
+    assert c.theta == pytest.approx(math.acos(-0.25), rel=1e-15)
+    assert c == fresh and hash(c) == hash(fresh)
+    assert dataclasses.asdict(c) == dataclasses.asdict(fresh)
+    # a generic model's constants are the coefficients alone
+    assert Generic(c).constants() == Generic(fresh).constants()
+    assert Generic(c).rhs(0.1, 0.2, 1.0) == Generic(fresh).rhs(0.1, 0.2, 1.0)
 
 
 # --- quadratic root selection ---------------------------------------------
