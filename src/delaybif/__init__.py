@@ -7,9 +7,9 @@ Hopf point (chareq), closed-form decay rates and oscillation regimes
 (hopf), and a method-of-steps simulation oracle (ddesim).  The cli module
 exposes all of it behind the ``delaybif`` command.
 
-numpy is loaded only by the simulation oracle and by the root search, so
-the oracle's names are loaded on first use: ``import delaybif`` and the
-closed forms stay numpy-free.
+numpy is loaded only by the simulation oracle and by the winding root
+search (`rightmost_roots`), so the oracle's names are loaded on first use:
+``import delaybif``, the closed forms and `lambert_roots` stay numpy-free.
 """
 from . import chareq, convergence, errors, hopf, models
 from .chareq import *

@@ -1,11 +1,16 @@
 """Analysis of the characteristic equation lambda + eta*a + eta*b*e^(-lambda*tau) = 0.
 
-Hopf point location, closed-form stability verdicts, transversality, the
-principal Lambert-W branch behind the decay rates of `convergence`, and a
-numerical rightmost-root oracle based on argument-principle winding counts
-with Newton polish.  Only the principal (n = 0) crossing branch is treated.
+Hopf point location, closed-form stability verdicts, transversality, and the
+characteristic roots in two independent ways.  In closed form, the roots are
+lambda_k = -eta*a + W_k(z)/tau with z = -eta*b*tau*e^(eta*a*tau), one per
+branch of the Lambert W function; `lambert_roots` enumerates the branches
+that reach the search region, and the principal one alone gives the decay
+rates of `convergence`.  As a numerical oracle that never uses that formula,
+`rightmost_roots` locates the roots by argument-principle winding counts
+with Newton polish.  Only the principal (n = 0) crossing branch of the Hopf
+point is treated.
 
-The root search subdivides the region by two rules.  A cell of winding 1,
+The winding search subdivides the region by two rules.  A cell of winding 1,
 at any size, is settled by one Newton solve from its center when that solve
 ends inside the cell; and a Newton result counts toward a cell only if it
 lies inside that cell.  So every root returned lies inside the search region.
@@ -28,6 +33,7 @@ __all__ = [
     "stability_verdict",
     "sufficient_stable",
     "char_value",
+    "lambert_roots",
     "rightmost_roots",
 ]
 
@@ -233,6 +239,68 @@ def _lambert_w0(z: float, log_z: complex | None = None) -> complex:
     raise NoConvergence(f"Lambert W iteration did not converge at z = {z!r}")
 
 
+def _lambert_wk(k: int, log_mz: float) -> complex:
+    """Branch W_k, k >= 1, of w e^w = z at the real z = -e^log_mz.
+
+    Newton on w + log w = log(-z) + (2k + 1) pi i from the start L - log L
+    (Corless et al. 1996, eq. 4.20).  Only log(-z) enters, so z may over-
+    or underflow.  Im w lies in (2k pi, (2k + 1) pi).
+    """
+    target = complex(log_mz, (2 * k + 1) * math.pi)
+    w = target - cmath.log(target)
+    for _ in range(64):
+        step = (w + cmath.log(w) - target) * w / (w + 1.0)
+        w, last = w - step, w
+        if abs(w - last) <= 1e-8 * abs(w):
+            return w
+    raise NoConvergence(f"Lambert W_{k} iteration did not converge at log(-z) = {log_mz!r}")
+
+
+def _lambert_wm1(z: float, log_mz: float) -> float:
+    """Branch W_-1 of w e^w = z on -1/e <= z < 0: the real root w <= -1.
+
+    Near -1/e, Halley iteration from the series of `_lambert_w0` in -p,
+    which is returned as is for |p| < 0.01.  Elsewhere Newton on
+    w + log(-w) = log(-z), given as log_mz so that z may underflow to 0,
+    from L - log(-L); the left side is concave and increasing in w, so
+    after the first step the iterates approach the root from the left.
+    """
+    d = max((z + _INV_E) + _INV_E_LO, 0.0)
+    halley = d < 0.3
+    if halley:
+        p = -math.sqrt(2.0 * math.e * d)
+        w = 0.0
+        for c in reversed(_BRANCH_SERIES):
+            w = w * p + c
+        if p > -0.01:
+            return w
+    else:
+        w = log_mz - math.log(-log_mz)
+    for _ in range(64):
+        if halley:
+            ew = math.exp(w)
+            f = w * ew - z
+            step = f / (ew * (w + 1.0) - (w + 2.0) * f / (2.0 * w + 2.0))
+        else:
+            step = (w + math.log(-w) - log_mz) * w / (w + 1.0)
+        w, last = w - step, w
+        if abs(w - last) <= 1e-8 * abs(w):
+            return w
+    raise NoConvergence(f"Lambert W_-1 iteration did not converge at z = {z!r}")
+
+
+def _delay_product(a: float, b: float, tau: float) -> float:
+    """b*tau*e^(a*tau), the -z of the Lambert-W roots, which the regimes
+    compare with 1/e.
+
+    inf where it overflows, since its exact value then exceeds every float.
+    """
+    try:
+        return b * tau * math.exp(a * tau)
+    except OverflowError:
+        return math.inf
+
+
 def _phase_winding(A: float, B: float, tau: float,
                    x0: float, x1: float, y0: float, y1: float) -> int:
     """Winding number of G(lambda) = lambda + A + B e^(-lambda tau) around the box.
@@ -375,15 +443,17 @@ def _register(found: list, lam: complex, residual: float) -> bool:
 
 def rightmost_roots(coeffs: TaylorCoefficients, eta: float,
                     search: RootSearchRegion | None = None) -> list[ComplexRoot]:
-    """All characteristic roots inside the search region, rightmost first.
+    """All characteristic roots inside the search region, rightmost first,
+    by a numerical search that does not use the Lambert-W formula.
 
-    Roots are localized by argument-principle winding counts over a
-    rectangular subdivision and polished by Newton iteration.  A cell of
-    winding 1 is settled by one Newton solve from its center if that lands
-    inside the cell, and is split further otherwise; a cell's count takes
-    only the roots found inside it, so every returned root lies inside the
-    search region.  Conjugate pairs are implied: only roots with im >= 0 are
-    reported.
+    It is the oracle for `lambert_roots`, the closed form that the
+    ``delaybif roots`` command uses.  Roots are localized by
+    argument-principle winding counts over a rectangular subdivision and
+    polished by Newton iteration.  A cell of winding 1 is settled by one
+    Newton solve from its center if that lands inside the cell, and is split
+    further otherwise; a cell's count takes only the roots found inside it,
+    so every returned root lies inside the search region.  Conjugate pairs
+    are implied: only roots with im >= 0 are reported.
 
     Parameters
     ----------
@@ -404,9 +474,8 @@ def rightmost_roots(coeffs: TaylorCoefficients, eta: float,
         double real root at the delay boundary tau* of `convergence`;
         regions dense with roots, such as the README model at tau = 50;
         and a root within about 4e-5 of a cell edge or cut, which defeats
-        2^15 boundary samples per side.  The Lambert-W branches of ROADMAP
-        item 2 remove all three; that rewrite waits for item 1, the
-        benchmark fix.
+        2^15 boundary samples per side.  `lambert_roots` answers all
+        three.
     """
     _require_gain(eta)
     a, b, tau = coeffs.a, coeffs.b, coeffs.tau
@@ -426,5 +495,74 @@ def rightmost_roots(coeffs: TaylorCoefficients, eta: float,
             continue
         im = abs(lam.imag) if abs(lam.imag) < 1e-9 else lam.imag
         roots.append(ComplexRoot(re=lam.real, im=im, residual=res))
+    roots.sort(key=lambda r: (-r.re, r.im))
+    return roots
+
+
+# as many branches as the winding search's cap on boundary samples per side
+_MAX_BRANCHES = 1 << 15
+
+
+def lambert_roots(coeffs: TaylorCoefficients, eta: float,
+                  search: RootSearchRegion | None = None) -> list[ComplexRoot]:
+    """All characteristic roots inside the search region, rightmost first,
+    in closed form.
+
+    The roots are lambda_k = -eta*a + W_k(z)/tau with
+    z = -eta*b*tau*e^(eta*a*tau) (Shinozaki & Mori, Automatica 42, 2006),
+    and log(-z) is taken as log(eta*b*tau) + eta*a*tau, so that z may
+    overflow.  Since Im W_k > (2k - 2)pi, the branches k = 0..K with
+    K = floor(tau*im_max/(2 pi)) + 1 reach past the top of the region; on
+    -1/e <= z < 0, W_-1 adds the second real root.  At the delay boundary
+    tau* of `convergence`, W_0 and W_-1 meet at -1 as a double root and
+    split by about sqrt(machine eps); where they agree to within 1e-7
+    relative they are reported once, as the W_0 root.  Arguments, the
+    order, Im >= 0 and the residual |G(lambda)| are those of
+    `rightmost_roots`; without a delay the one root is -eta*(a + b).
+
+    Raises
+    ------
+    InvalidSpec
+        If eta is not finite and positive, the default region's bounds
+        overflow, eta*a*tau overflows, the region spans more than 2^15
+        branches, or e^(-lambda*tau) overflows at a root inside it.
+    NoConvergence
+        If a branch's iteration fails to converge.
+    """
+    _require_gain(eta)
+    a, b, tau = coeffs.a, coeffs.b, coeffs.tau
+    if tau == 0.0:
+        return [ComplexRoot(re=-eta * (a + b), im=0.0, residual=0.0)]
+    if search is None:
+        search = RootSearchRegion.default_for(coeffs, eta)
+    # compared as floats: tau*im_max may overflow
+    turns = tau * search.im_max / (2.0 * math.pi)
+    if not turns < _MAX_BRANCHES:
+        raise InvalidSpec(f"root search region {search} spans more than "
+                          f"{_MAX_BRANCHES} Lambert-W branches at tau = {tau!r}")
+    A = eta * a
+    a_tau = A * tau
+    if a_tau == math.inf:
+        raise InvalidSpec(f"eta*a*tau overflows at eta = {eta!r}, a = {a!r}, "
+                          f"tau = {tau!r}")
+    # eta and b apart, since eta*b may underflow to 0
+    log_mz = math.log(eta) + math.log(b) + math.log(tau) + a_tau
+    B = eta * b
+    product = _delay_product(A, B, tau)
+    if product < 1e-17:
+        # W0(z) = z to rounding, and -B e^(A tau) is z/tau without the
+        # digits that a subnormal z loses
+        lams = [-A - B * math.exp(a_tau)]
+    else:
+        lams = [-A + _lambert_w0(-product, complex(log_mz, math.pi)) / tau]
+    if product <= _INV_E:
+        lower = -A + _lambert_wm1(-product, log_mz) / tau
+        if abs(lower - lams[0]) >= 1e-7 * (1.0 + abs(lower)):
+            lams.append(lower)
+    lams += [-A + _lambert_wk(k, log_mz) / tau for k in range(1, int(turns) + 2)]
+    roots = [ComplexRoot(re=lam.real, im=abs(lam.imag),
+                         residual=abs(char_value(coeffs, eta, lam)))
+             for lam in lams
+             if search.re_min <= lam.real <= search.re_max and lam.imag <= search.im_max]
     roots.sort(key=lambda r: (-r.re, r.im))
     return roots

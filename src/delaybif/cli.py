@@ -27,7 +27,7 @@ import sys
 from typing import Optional
 
 from . import __version__
-from .chareq import RootSearchRegion, critical_eta, rightmost_roots, stability_verdict
+from .chareq import RootSearchRegion, critical_eta, lambert_roots, stability_verdict
 from .convergence import rate_of_convergence, sweep_tau
 from .errors import DelayBifError, Divergence
 from .hopf import (
@@ -310,7 +310,7 @@ def _cmd_roots(cp, model, outdir: str, fmt: str):
     overrides = {k: v for k in ("re_min", "re_max", "im_max")
                  if (v := _get_number(cp, "roots", k)) is not None}
     region = dataclasses.replace(region, **overrides)
-    rows = [[r.re, r.im, r.residual] for r in rightmost_roots(coeffs, eta, region)]
+    rows = [[r.re, r.im, r.residual] for r in lambert_roots(coeffs, eta, region)]
     name = _write_table(outdir, "roots", ["re", "im", "residual"], rows, fmt)
     return [name], "".join(f"{re!r},{im!r},{res!r}\n" for re, im, res in rows)
 

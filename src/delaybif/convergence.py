@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .chareq import _INV_E, _lambert_w0, _require_gain, stability_verdict
+from .chareq import _INV_E, _delay_product, _lambert_w0, _require_gain, stability_verdict
 from .errors import InvalidSpec
 from .models import TaylorCoefficients, _normal
 
@@ -45,8 +45,9 @@ class ConvergenceReport:
 
     sigma is min of the finite candidates when the system is stable (0
     where that underflows) and 0 (with regime UNSTABLE) otherwise.  sigma2
-    is finite only below tau*, sigma3 only above; u2 is the auxiliary angle
-    behind sigma3.
+    is finite only below tau*, sigma3 only above, and not where a*tau
+    overflows; u2 is the auxiliary angle behind sigma3, None where sigma3
+    is not finite.
     """
 
     sigma: float
@@ -64,17 +65,6 @@ def _scaled(coeffs: TaylorCoefficients, eta: float) -> tuple[float, float, float
     # 0 <= a < b, so a is finite whenever b is; a subnormal b has lost
     # digits, and tau* ~ 1/b overflows
     return eta * coeffs.a, _normal(eta * coeffs.b, name="eta*b"), coeffs.tau
-
-
-def _delay_product(a: float, b: float, tau: float) -> float:
-    """b*tau*e^(a*tau), the quantity the regimes compare with 1/e.
-
-    inf where it overflows, since its exact value then exceeds every float.
-    """
-    try:
-        return b * tau * math.exp(a * tau)
-    except OverflowError:
-        return math.inf
 
 
 def tau_star(coeffs: TaylorCoefficients, eta: float = 1.0) -> float:
@@ -119,8 +109,10 @@ def rate_of_convergence(coeffs: TaylorCoefficients, eta: float = 1.0) -> Converg
     folded into the coefficients (a <- eta*a, b <- eta*b) first.  The
     regime is classify_regime's.  An unstable configuration is reported as
     regime UNSTABLE with sigma = 0; sigma3 is still filled in (it is then
-    the negative growth-rate bound).  A stable one whose decay rate is
-    below the smallest float keeps its stable regime, with sigma = 0.
+    the negative growth-rate bound), except where a*tau overflows: W0 is
+    not evaluated there, and sigma3 is inf and u2 None, as below tau*.  A
+    stable one whose decay rate is below the smallest float keeps its
+    stable regime, with sigma = 0.
 
     Raises
     ------
@@ -134,8 +126,16 @@ def rate_of_convergence(coeffs: TaylorCoefficients, eta: float = 1.0) -> Converg
         raise InvalidSpec("rate of convergence needs tau > 0")
     product = _delay_product(a, b, tau)
     log_bt = math.log(b) + math.log(tau)
-    w = _lambert_w0(-product, complex(log_bt + a * tau, math.pi))
+    a_tau = a * tau
     sigma1 = a + 1.0 / tau
+    if a_tau == math.inf:
+        # log z overflows with a*tau; as floats b > a, so tau*sqrt(b^2 - a^2)
+        # exceeds 1e-8*a*tau, far past the stability limit: the regime is
+        # classify_regime's UNSTABLE without W0
+        return ConvergenceReport(sigma=0.0, sigma1=sigma1, sigma2=math.inf, sigma3=math.inf,
+                                 tau_star=tau_star(coeffs, eta), u2=None,
+                                 regime=Regime.UNSTABLE)
+    w = _lambert_w0(-product, complex(log_bt + a_tau, math.pi))
     if product <= _INV_E:
         # a - W0/tau adds two nonnegative numbers: nothing to polish
         sigma2, sigma3, u2 = a - w.real / tau, math.inf, None

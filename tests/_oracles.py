@@ -5,8 +5,12 @@ were written: equilibria and Hopf quantities with 40-digit arithmetic, and
 characteristic roots through the Lambert-W representation
 lambda = -eta*a + W_k(-eta*b*tau*e^(eta*a*tau))/tau, taking the branch with
 the largest real part.  The library must reproduce these, not the other
-way around.
+way around.  `lambertw_roots` evaluates that representation on every branch
+at test time, with scipy's Lambert W in place of the library's.
 """
+import math
+
+import pytest
 
 # Delayed cubic oscillator, first parameter set: k=9, mu=1, lam=-7, tau=0.187
 EX1_XE = 0.8088519405189048
@@ -62,3 +66,27 @@ NICHOLSON_MU2 = {
 # lam = -0.5051897061202594, to 40 digits (60-digit arithmetic on the exact
 # float inputs)
 CUBIC_CANCELLING_XE = "0.06209810673104962419148893965987630770606"
+
+
+def lambertw_roots(coeffs, eta, region):
+    """Every root in region with Im >= 0, rightmost first, and the distance
+    from the boundary to the nearest root inside or outside it.
+
+    The roots are -A + W_k(z)/tau with z = -B tau e^(A tau), A = eta*a,
+    B = eta*b; Im W_k lies in ((2|k| - 2)pi, (2|k| + 1)pi), so branches
+    |k| <= K reach past the top of the region.
+    """
+    special = pytest.importorskip("scipy.special")
+    A, B, tau = eta * coeffs.a, eta * coeffs.b, coeffs.tau
+    z = -B * tau * math.exp(A * tau)
+    K = int(tau * region.im_max / (2.0 * math.pi)) + 2
+    inside, clearance = [], math.inf
+    for k in range(-K, K + 1):
+        lam = -A + complex(special.lambertw(z, k)) / tau
+        dx = max(region.re_min - lam.real, lam.real - region.re_max)
+        dy = abs(lam.imag) - region.im_max
+        d = max(dx, dy)
+        clearance = min(clearance, -d if d < 0 else math.hypot(max(dx, 0.0), max(dy, 0.0)))
+        if d < 0 and lam.imag >= 0.0:
+            inside.append(lam)
+    return sorted(inside, key=lambda lam: (-lam.real, lam.imag)), clearance

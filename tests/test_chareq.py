@@ -13,6 +13,7 @@ import pytest
 
 from delaybif import (
     ComplexRoot,
+    CubicBD,
     HopfPoint,
     InvalidSpec,
     NoConvergence,
@@ -21,12 +22,15 @@ from delaybif import (
     char_value,
     critical_eta,
     is_locally_stable,
+    lambert_roots,
     rightmost_roots,
     stability_verdict,
     sufficient_stable,
+    tau_star,
+    taylor_coefficients,
 )
 
-from delaybif.chareq import _lambert_w0
+from delaybif.chareq import _lambert_w0, _lambert_wk, _lambert_wm1
 
 from _oracles import (
     EX1_ALPHA_PRIME,
@@ -41,6 +45,7 @@ from _oracles import (
     ROOT_EX2_ETA095,
     ROOT_UNSTABLE,
     ROOT_WRIGHT,
+    lambertw_roots,
 )
 
 
@@ -252,8 +257,8 @@ def test_rightmost_root_sits_on_axis_at_hopf(ex1_coeffs):
 
 def test_rightmost_roots_zero_delay():
     c = TaylorCoefficients(xi_x=-0.5, xi_y=-2.0, tau=0.0)
-    roots = rightmost_roots(c, 1.5)
-    assert roots == [ComplexRoot(re=-1.5 * 2.5, im=0.0, residual=0.0)]
+    for find in (rightmost_roots, lambert_roots):
+        assert find(c, 1.5) == [ComplexRoot(re=-1.5 * 2.5, im=0.0, residual=0.0)]
 
 
 def test_all_reported_roots_are_roots(ex1_coeffs):
@@ -315,36 +320,13 @@ def test_root_sign_matches_verdict_on_samples():
         checked += 1
 
 
-def _lambert_roots(coeffs, eta, region):
-    """Every root in region with Im >= 0, rightmost first, and the distance
-    from the boundary to the nearest root inside or outside it.
-
-    The roots are -A + W_k(z)/tau with z = -B tau e^(A tau), A = eta*a,
-    B = eta*b; Im W_k lies in ((2|k| - 2)pi, (2|k| + 1)pi), so branches
-    |k| <= K reach past the top of the region.
-    """
-    special = pytest.importorskip("scipy.special")
-    A, B, tau = eta * coeffs.a, eta * coeffs.b, coeffs.tau
-    z = -B * tau * math.exp(A * tau)
-    K = int(tau * region.im_max / (2.0 * math.pi)) + 2
-    inside, clearance = [], math.inf
-    for k in range(-K, K + 1):
-        lam = -A + complex(special.lambertw(z, k)) / tau
-        dx = max(region.re_min - lam.real, lam.real - region.re_max)
-        dy = abs(lam.imag) - region.im_max
-        d = max(dx, dy)
-        clearance = min(clearance, -d if d < 0 else math.hypot(max(dx, 0.0), max(dy, 0.0)))
-        if d < 0 and lam.imag >= 0.0:
-            inside.append(lam)
-    return sorted(inside, key=lambda lam: (-lam.real, lam.imag)), clearance
-
-
-def _assert_complete(coeffs, eta, region):
-    truth, _ = _lambert_roots(coeffs, eta, region)
-    got = rightmost_roots(coeffs, eta, search=region)
-    assert len(got) == len(truth)
-    for r, lam in zip(got, truth):
-        assert abs(complex(r.re, r.im) - lam) < 1e-9
+def _assert_complete(coeffs, eta, region, finders=(rightmost_roots, lambert_roots)):
+    truth, _ = lambertw_roots(coeffs, eta, region)
+    for find in finders:
+        got = find(coeffs, eta, search=region)
+        assert len(got) == len(truth), find.__name__
+        for r, lam in zip(got, truth):
+            assert abs(complex(r.re, r.im) - lam) < 1e-9, find.__name__
 
 
 def test_root_search_is_complete_on_samples():
@@ -363,7 +345,7 @@ def test_root_search_is_complete_on_samples():
         if checked % 2:
             region = RootSearchRegion(re_min=region.re_min - 2.0, re_max=region.re_max,
                                       im_max=region.im_max + 4.0 * math.pi / tau)
-        if _lambert_roots(c, eta, region)[1] < 0.05:
+        if lambertw_roots(c, eta, region)[1] < 0.05:
             continue
         _assert_complete(c, eta, region)
         checked += 1
@@ -413,7 +395,7 @@ _TALL = (TaylorCoefficients(xi_x=0.0, xi_y=-1.0, tau=0.5),
 
 def test_root_search_is_complete_in_a_tall_region():
     c, region = _TALL
-    truth, clearance = _lambert_roots(c, 1.0, region)
+    truth, clearance = lambertw_roots(c, 1.0, region)
     assert len(truth) == 3 and clearance > 0.25
     _assert_complete(c, 1.0, region)
 
@@ -460,8 +442,9 @@ def test_search_region_validates_itself(wright_coeffs, bounds):
 
 def test_overflowing_default_region_is_invalid(ex1_coeffs):
     # eta*(b - a) and 2*eta*b overflow: the region cannot be built
-    with pytest.raises(InvalidSpec, match="root search region"):
-        rightmost_roots(ex1_coeffs, 1e308)
+    for find in (rightmost_roots, lambert_roots):
+        with pytest.raises(InvalidSpec, match="root search region"):
+            find(ex1_coeffs, 1e308)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -472,6 +455,104 @@ def test_overflowing_sample_count_fails_cleanly():
     region = RootSearchRegion(re_min=-1.0, re_max=1.0, im_max=1e10)
     with pytest.raises(NoConvergence):
         rightmost_roots(c, 1.0, search=region)
+
+
+# --- the closed form -------------------------------------------------------
+
+def test_lambert_roots_where_roots_are_dense(ex1_coeffs):
+    # the README model at tau = 50, where the winding search gives up: 151
+    # roots, 2*pi/tau apart, fill the default region
+    c = dataclasses.replace(ex1_coeffs, tau=50.0)
+    region = RootSearchRegion.default_for(c, 1.0)
+    assert len(lambertw_roots(c, 1.0, region)[0]) == 151
+    _assert_complete(c, 1.0, region, finders=(lambert_roots,))
+
+
+def test_both_real_roots_below_tau_star():
+    # z = -0.3 > -1/e: W0 and W-1 give the real roots -1.631 and -5.937
+    c = TaylorCoefficients(xi_x=0.0, xi_y=-1.0, tau=0.3)
+    region = RootSearchRegion(re_min=-8.0, re_max=1.0, im_max=1.0)
+    truth, _ = lambertw_roots(c, 1.0, region)
+    assert [lam.imag for lam in truth] == [0.0, 0.0]
+    _assert_complete(c, 1.0, region)
+
+
+@pytest.mark.parametrize("coeffs", [
+    taylor_coefficients(CubicBD(k=9.0, mu=1.0, lam=-7.0, tau=0.187)),
+    TaylorCoefficients(xi_x=0.0, xi_y=-1.0),
+], ids=["readme", "a=0"])
+def test_lambert_roots_report_the_double_root_at_tau_star_once(coeffs):
+    # W0 and W-1 meet at -1 and split by about sqrt(eps): one root, at
+    # -(eta*a + 1/tau) to within the 1e-7 relative of the winding search
+    c = dataclasses.replace(coeffs, tau=tau_star(coeffs))
+    double = -(c.a + 1.0 / c.tau)
+    near = [complex(r.re, r.im) for r in lambert_roots(c, 1.0)
+            if abs(complex(r.re, r.im) - double) < 1e-3]
+    assert len(near) == 1
+    assert abs(near[0] - double) < 1e-7 * (1.0 + abs(double))
+
+
+def test_lambert_roots_agree_with_the_winding_search():
+    # same count and each root within 1e-9, wherever the winding search
+    # answers, in the default region and one holding two more branches
+    rng = np.random.default_rng(21)
+    checked = 0
+    while checked < 40:
+        a = float(rng.uniform(0.0, 2.0))
+        b = float(rng.uniform(a + 0.2, a + 2.5))
+        tau = float(rng.uniform(0.05, 20.0))
+        eta = float(rng.uniform(0.1, 2.5))
+        c = TaylorCoefficients(xi_x=-a, xi_y=-b, tau=tau)
+        region = RootSearchRegion.default_for(c, eta)
+        if checked % 2:
+            region = RootSearchRegion(re_min=region.re_min - 2.0, re_max=region.re_max,
+                                      im_max=region.im_max + 4.0 * math.pi / tau)
+        try:
+            oracle = rightmost_roots(c, eta, search=region)
+        except NoConvergence:
+            continue
+        got = lambert_roots(c, eta, search=region)
+        assert len(got) == len(oracle)
+        for r, s in zip(got, oracle):
+            assert abs(complex(r.re, r.im) - complex(s.re, s.im)) < 1e-9
+        checked += 1
+
+
+def test_lambert_roots_refuse_too_many_branches_before_computing_one(
+        monkeypatch, wright_coeffs):
+    # tau*im_max/(2 pi) = 2^15 asks for 2^15 + 1 branches; at tau = 1e300
+    # the product overflows
+    from delaybif import chareq
+
+    def no_branch(*args):
+        raise AssertionError("a branch was computed")
+
+    for name in ("_lambert_w0", "_lambert_wm1", "_lambert_wk"):
+        monkeypatch.setattr(chareq, name, no_branch)
+    for tau, im_max in ((1.0, 2.0 * math.pi * 2 ** 15), (1e300, 1e10)):
+        c = dataclasses.replace(wright_coeffs, tau=tau)
+        region = RootSearchRegion(re_min=-1.0, re_max=1.0, im_max=im_max)
+        with pytest.raises(InvalidSpec, match="Lambert-W branches"):
+            lambert_roots(c, 1.0, search=region)
+
+
+@pytest.mark.parametrize("tau", [1e-310, 1e-320, 5e-324])
+def test_lambert_roots_at_a_subnormal_delay(tau):
+    # b*tau*e^(a*tau) is subnormal and has lost digits; the root is -(a + b)
+    c = TaylorCoefficients(xi_x=-0.5, xi_y=-1.3, tau=tau)
+    region = RootSearchRegion(re_min=-3.0, re_max=1.0, im_max=1.0)
+    assert lambert_roots(c, 1.0, search=region) == [ComplexRoot(re=-1.8, im=0.0, residual=0.0)]
+
+
+def test_lambert_roots_outside_the_float_range_are_invalid():
+    # eta*a*tau overflows, so log z does
+    c = TaylorCoefficients(xi_x=-1e200, xi_y=-2e200, tau=1e200)
+    with pytest.raises(InvalidSpec, match="eta\\*a\\*tau overflows"):
+        lambert_roots(c, 1.0, search=RootSearchRegion(re_min=-1.0, re_max=1.0, im_max=1e-199))
+    # b*tau = 1e-320: the W-1 root near -7.4e22 has e^(-lambda*tau) = e^742
+    c = TaylorCoefficients(xi_x=0.0, xi_y=-1e-300, tau=1e-20)
+    with pytest.raises(InvalidSpec, match="overflows"):
+        lambert_roots(c, 1.0, search=RootSearchRegion(re_min=-1e23, re_max=1.0, im_max=1.0))
 
 
 # --- the Lambert-W primitive -----------------------------------------------
@@ -520,3 +601,45 @@ def test_lambert_w0_at_the_largest_floats():
         w = _lambert_w0(z)
         assert abs(w + cmath.log(w) - cmath.log(z)) <= 1e-15 * abs(cmath.log(z))
         assert _lambert_w0(-math.inf, cmath.log(z)) == w
+
+
+@pytest.mark.parametrize("k", [1, 2, 5, 30])
+def test_lambert_wk_matches_scipy(k):
+    special = pytest.importorskip("scipy.special")
+    for z in map(float, -np.geomspace(1e-8, 1e8, 400)):
+        w, ref = _lambert_wk(k, math.log(-z)), complex(special.lambertw(z, k))
+        assert abs(w - ref) <= 1e-15 * abs(ref), z
+
+
+@pytest.mark.parametrize("log_abs_z", [700.0, 1e5, 1e100, 1e300])
+def test_lambert_wk_logarithmic_form(log_abs_z):
+    # z = -inf: only log(-z) enters, and w + log w = log(-z) + (2k + 1) pi i
+    for k in (1, 2, 5, 30):
+        target = complex(log_abs_z, (2 * k + 1) * math.pi)
+        w = _lambert_wk(k, log_abs_z)
+        assert abs(w + cmath.log(w) - target) <= 4e-16 * abs(target)
+        assert 2 * k * math.pi < w.imag <= (2 * k + 1) * math.pi
+
+
+_WM1_REAL = (list(-np.geomspace(1e-300, 0.3, 300))
+             + [-math.exp(-1.0) + d for d in (1e-2, 1e-3, 1e-4, 1e-5)])
+
+
+def test_lambert_wm1_matches_scipy():
+    special = pytest.importorskip("scipy.special")
+    for z in map(float, _WM1_REAL):
+        w, ref = _lambert_wm1(z, math.log(-z)), complex(special.lambertw(z, -1))
+        assert ref.imag == 0.0 and abs(w - ref.real) <= 1e-13 * abs(ref), z
+
+
+def test_lambert_wm1_at_the_branch_point_and_below_the_smallest_float():
+    # closer in than 1e-5, scipy's own value loses digits: check the branch
+    # (w <= -1) and the defining relation, as for W0
+    for d in 10.0 ** np.linspace(-16.0, -5.0, 23):
+        z = -math.exp(-1.0) + d
+        w = _lambert_wm1(z, math.log(-z))
+        assert -1.0 - 2.0 * math.sqrt(2.0 * math.e * d) - 1e-15 < w <= -1.0
+        assert abs(w * math.exp(w) - z) < 1e-16
+    # z = -e^-800 underflows to -0.0; only its logarithm enters
+    w = _lambert_wm1(-0.0, -800.0)
+    assert abs(w + math.log(-w) + 800.0) <= 1e-15 * 800.0

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 import delaybif
 from delaybif import (
     CubicBD,
+    RootSearchRegion,
     TaylorCoefficients,
     __version__,
     mu2_closed_form,
@@ -29,7 +30,7 @@ from delaybif import (
 from delaybif import cli
 from delaybif.cli import _grid, main
 
-from _oracles import EX1_ETA_C
+from _oracles import EX1_ETA_C, lambertw_roots
 
 CUBIC_INI = textwrap.dedent("""\
     [model]
@@ -359,10 +360,18 @@ def test_roots_region_override(tmp_path, capsys):
 
 
 def test_roots_overflowing_search_exits_cleanly(tmp_path, capsys):
+    # at tau = 50, 151 roots 2*pi/tau apart fill the default region
     ini = CUBIC_INI.replace("tau = 0.187", "tau = 50.0")
-    code, _, stderr, _ = _run(tmp_path, capsys, "roots", ini=ini)
-    assert code in (0, 3)
-    assert code == 0 or stderr.startswith("error:")
+    code, stdout, stderr, out = _run(tmp_path, capsys, "roots", ini=ini)
+    assert (code, stderr) == (0, "")
+    rows = [list(map(float, line.split(",")))
+            for line in (out / "roots.csv").read_text().splitlines()[1:]]
+    coeffs = taylor_coefficients(CubicBD(k=9.0, mu=1.0, lam=-7.0, tau=50.0))
+    truth, _ = lambertw_roots(coeffs, 1.0, RootSearchRegion.default_for(coeffs, 1.0))
+    assert len(rows) == len(truth) == 151
+    for (re, im, _), lam in zip(rows, truth):
+        assert abs(complex(re, im) - lam) < 1e-9
+    assert len(stdout.splitlines()) == 151
 
 
 ZERO_DELAY_INI = textwrap.dedent("""\
@@ -658,6 +667,7 @@ def test_analysis_commands_do_not_import_numpy(tmp_path):
     runs = [("analyze", "analyze", CUBIC_INI),
             ("tau", "sweep", CUBIC_INI + _sweep_ini("tau", 0.005, 0.18, 8)),
             ("epsilon", "sweep", CUBIC_INI + _sweep_ini("epsilon", 0.0, 0.9, 4)),
+            ("roots", "roots", CUBIC_INI),
             ("simulate", "simulate", short),
             ("eta", "sweep", short + _sweep_ini("eta", 1.02, 1.04, 2))]
     for name, _, text in runs:
@@ -673,7 +683,7 @@ def test_analysis_commands_do_not_import_numpy(tmp_path):
     if result["loaded"]["start"]:
         pytest.skip("this interpreter imports numpy at start-up")
     assert result["codes"] == {name: 0 for name, _, _ in runs}
-    for step in ("import", "analyze", "tau", "epsilon"):
+    for step in ("import", "analyze", "tau", "epsilon", "roots"):
         assert not result["loaded"][step], step
     # simulating loads ddesim, and numpy with it, when the command runs
     assert result["loaded"]["simulate"]
@@ -747,6 +757,8 @@ def test_non_finite_or_overflowing_gain_exits_3(tmp_path, capsys, command, eta):
 
 @pytest.mark.parametrize("override", [
     "im_max = -1", "re_min = 5\nre_max = -5", "im_max = inf", "re_min = nan",
+    # tau*im_max/(2 pi) = 3e298 Lambert-W branches, past the 2^15 cap
+    "im_max = 1e300",
 ])
 def test_invalid_root_region_override_exits_3(tmp_path, capsys, override):
     ini = CUBIC_INI + "[roots]\n" + override + "\n"
@@ -852,6 +864,8 @@ def _generic_runs(draw):
 @given(run=_generic_runs())
 @example(run=("analyze", "[model]\nvariant = generic\n" + _CM_OVERFLOW))
 @example(run=("analyze", "[model]\nvariant = generic\n" + _SUBNORMAL_ETA_C))
+# tau*im_max/(2 pi) = 8e5 Lambert-W branches: refused before the first one
+@example(run=("roots", "[model]\nvariant = generic\nxi_x = -1.0\nxi_y = -2.0\ntau = 1e6\n"))
 @settings(max_examples=25, deadline=None)
 def test_every_run_exits_with_a_documented_code(tmp_path_factory, run):
     # no traceback over the float range: an escaping exception fails the test

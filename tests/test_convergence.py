@@ -330,6 +330,20 @@ def test_growth_bound_at_large_delay(tau):
     assert rep.sigma3 == pytest.approx(-math.log(1.5) / tau, rel=1e-6)
 
 
+@pytest.mark.parametrize("coeffs, eta", [
+    (TaylorCoefficients(xi_x=-1.0, xi_y=-2.0, tau=1e308), 10.0),
+    (TaylorCoefficients(xi_x=-1e200, xi_y=-2e200, tau=1e200), 1.0),
+], ids=["eta-tau", "a-tau"])
+def test_overflowing_a_tau_is_unstable_without_w0(coeffs, eta):
+    # eta*a*tau overflows, and log z with it: the report is the Unstable
+    # one classify_regime gives, with sigma3 and u2 absent
+    assert classify_regime(coeffs, eta) is Regime.UNSTABLE
+    rep = rate_of_convergence(coeffs, eta)
+    assert rep.regime is Regime.UNSTABLE and rep.sigma == 0.0
+    assert rep.sigma2 == rep.sigma3 == math.inf and rep.u2 is None
+    assert math.isfinite(rep.sigma1) and math.isfinite(rep.tau_star)
+
+
 @pytest.mark.parametrize("a_over_b, b, eta, regime", [
     (0.0, 1e-310, 1e9, Regime.NON_OSCILLATORY_STABLE),
     (1.0 - 1e-15, 1e-305, 1e10, Regime.OSCILLATORY_STABLE),
