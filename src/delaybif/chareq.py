@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import InvalidSpec, NoConvergence
@@ -101,14 +102,18 @@ class RootSearchRegion:
         # The rightmost root always satisfies Re >= -(eta*a + 1/tau) and
         # Re <= eta*(b - a); its imaginary part sits on the principal branch,
         # |Im| < pi/tau.  Without a delay the one root is -eta*(a + b).
-        # Margins keep roots off the contour.
+        # Margins keep roots off the contour.  Where 1/tau overflows (tau
+        # below about 5.6e-309), every root but the rightmost, -eta*(a + b)
+        # to rounding, lies below -1/tau, outside the float range: both delay
+        # terms are clamped to the range, which changes no region that
+        # builds without the clamp.
         _require_gain(eta)
         a, b, tau = coeffs.a, coeffs.b, coeffs.tau
         if tau == 0.0:
             return cls(re_min=-eta * (a + b) - 0.5, re_max=eta * (b - a) + 0.5, im_max=1.0)
-        re_min = -(eta * a + 1.0 / tau) - 0.5
+        re_min = -(eta * a + min(1.0 / tau, sys.float_info.max)) - 0.5
         re_max = eta * (b - a) + 0.5
-        im_max = max(2.0 * eta * b, 1.05 * math.pi / tau) + 1.0
+        im_max = max(2.0 * eta * b, min(1.05 * math.pi / tau, 0.5 * sys.float_info.max)) + 1.0
         return cls(re_min=re_min, re_max=re_max, im_max=im_max)
 
 

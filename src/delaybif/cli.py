@@ -27,17 +27,7 @@ import sys
 from typing import Optional
 
 from . import __version__
-from .chareq import RootSearchRegion, critical_eta, lambert_roots, stability_verdict
-from .convergence import rate_of_convergence, sweep_tau
 from .errors import DelayBifError, Divergence
-from .hopf import (
-    g_tilde,
-    h_tilde,
-    mu2_center_manifold,
-    mu2_closed_form,
-    nicholson_mu2,
-    nicholson_mu2_shape,
-)
 from .models import (
     CubicBD,
     Generic,
@@ -129,7 +119,6 @@ def _build_model(cp):
 
 
 def _sim_config(cp):
-    # ddesim, and with it numpy, is imported only by the commands that simulate
     from .ddesim import SimConfig
     return _read_fields(cp, "sim", SimConfig)
 
@@ -229,9 +218,15 @@ def _write_manifest(outdir: str, command: str, cp, outputs: list) -> None:
 
 # ---------------------------------------------------------------------------
 # subcommands: each writes only its own artifacts and returns their names
-# with its stdout text, or with the Divergence that ended its simulation
+# with its stdout text, or with the Divergence that ended its simulation.
+# Each imports the layers it runs, and no other, when it runs: chareq,
+# convergence and hopf where it evaluates their closed forms, ddesim (and
+# with it numpy) only where it simulates
 
 def _cmd_analyze(cp, model, outdir: str, fmt: str):
+    from .chareq import critical_eta, stability_verdict
+    from .convergence import rate_of_convergence
+    from .hopf import mu2_center_manifold, mu2_closed_form, nicholson_mu2
     eq = equilibrium(model)
     coeffs = taylor_coefficients(model)
     eta = _get_number(cp, "analysis", "eta", 1.0)
@@ -262,6 +257,7 @@ def _cmd_analyze(cp, model, outdir: str, fmt: str):
 def _cmd_sweep(cp, model, outdir: str, fmt: str):
     axis, grid = _grid(cp)
     if axis == "tau":
+        from .convergence import sweep_tau
         coeffs = taylor_coefficients(model)
         eta = _get_number(cp, "analysis", "eta", 1.0)
         rows = [[tau, rep.sigma, rep.sigma1, rep.sigma2, rep.sigma3, rep.regime.value]
@@ -276,6 +272,7 @@ def _cmd_sweep(cp, model, outdir: str, fmt: str):
                 for eta, amp, period, verdict in points]
         stem, header = "bifurcation", ["eta", "amplitude", "period", "verdict"]
     else:
+        from .hopf import g_tilde, h_tilde, mu2_closed_form, nicholson_mu2_shape
         coeffs = taylor_coefficients(model)
         nicholson = isinstance(model, Nicholson)
         rows = [[eps, g_tilde(eps), h_tilde(eps),
@@ -303,6 +300,7 @@ def _cmd_simulate(cp, model, outdir: str, fmt: str):
 
 
 def _cmd_roots(cp, model, outdir: str, fmt: str):
+    from .chareq import RootSearchRegion, lambert_roots
     coeffs = taylor_coefficients(model)
     eta = _get_number(cp, "roots", "eta",
                        _get_number(cp, "analysis", "eta", 1.0))

@@ -237,8 +237,12 @@ def _fit_decay_rate(traj: Trajectory, x_e: float) -> float:
     keep = ph > 0.0
     if keep.sum() >= 5:
         t, d = pt[keep], ph[keep]
-    slope = np.polyfit(t, np.log(d), 1)[0]
-    return float(-slope)
+    # times in units of a power of two near the delay: an exact rescaling,
+    # so the fit is the same to the bit wherever t^2 is a normal float, and
+    # at any delay its t^2 now is
+    unit = math.ldexp(1.0, math.frexp(tau)[1])
+    slope = np.polyfit(t / unit, np.log(d), 1)[0]
+    return float(-slope) / unit
 
 
 def metrics(traj: Trajectory) -> LimitCycleMetrics:

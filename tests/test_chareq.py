@@ -7,6 +7,7 @@ characteristic roots, evaluated independently before this suite was written
 import cmath
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -540,8 +541,23 @@ def test_lambert_roots_refuse_too_many_branches_before_computing_one(
 def test_lambert_roots_at_a_subnormal_delay(tau):
     # b*tau*e^(a*tau) is subnormal and has lost digits; the root is -(a + b)
     c = TaylorCoefficients(xi_x=-0.5, xi_y=-1.3, tau=tau)
-    region = RootSearchRegion(re_min=-3.0, re_max=1.0, im_max=1.0)
-    assert lambert_roots(c, 1.0, search=region) == [ComplexRoot(re=-1.8, im=0.0, residual=0.0)]
+    # 1/tau overflows: the default region is clamped to the float range, and
+    # every root but -(a + b) lies below it
+    default = RootSearchRegion.default_for(c, 1.0)
+    assert default == RootSearchRegion(re_min=-sys.float_info.max, re_max=1.3,
+                                       im_max=0.5 * sys.float_info.max)
+    for region in (RootSearchRegion(re_min=-3.0, re_max=1.0, im_max=1.0), None):
+        assert (lambert_roots(c, 1.0, search=region)
+                == [ComplexRoot(re=-1.8, im=0.0, residual=0.0)])
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_winding_search_at_a_subnormal_delay_fails_cleanly():
+    # the default region, clamped to the float range, is too wide for the
+    # boundary sampling
+    c = TaylorCoefficients(xi_x=-0.5, xi_y=-1.3, tau=1e-310)
+    with pytest.raises(NoConvergence):
+        rightmost_roots(c, 1.0)
 
 
 def test_lambert_roots_outside_the_float_range_are_invalid():

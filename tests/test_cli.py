@@ -396,6 +396,16 @@ def test_roots_without_delay_is_the_one_real_root(tmp_path, capsys):
     assert (out / "roots.csv").read_text() == "re,im,residual\n-1.5,0.0,0.0\n"
 
 
+@pytest.mark.parametrize("tau", ["1e-310", "1e-320", "5e-324"])
+def test_roots_at_a_subnormal_delay_is_the_one_finite_root(tmp_path, capsys, tau):
+    # 1/tau overflows: every root but -eta*(a + b) lies below the float range
+    ini = f"[model]\nvariant = generic\nxi_x = -0.5\nxi_y = -1.3\ntau = {tau}\n"
+    code, stdout, stderr, out = _run(tmp_path, capsys, "roots", ini=ini)
+    assert (code, stderr) == (0, "")
+    assert stdout == "-1.8,0.0,0.0\n"
+    assert (out / "roots.csv").read_text() == "re,im,residual\n-1.8,0.0,0.0\n"
+
+
 @pytest.mark.parametrize("command, ini", [
     ("simulate", ZERO_DELAY_INI),
     ("sweep", ZERO_DELAY_INI + "[sweep]\naxis = eta\nstart = 0.5\nstop = 1.0\ncount = 2\n"),
@@ -638,22 +648,26 @@ def test_output_dir_from_config(tmp_path, capsys, monkeypatch):
     assert (tmp_path / "results" / "analyze.json").exists()
 
 
-# --- start-up: numpy only where arrays are built ---------------------------
+# --- start-up: each command loads only the layers it runs -----------------
 
 # Runs in a fresh interpreter: which modules a command loads is only visible
 # before anything else has imported them.  Prints, after the import and
-# after each command, whether numpy is loaded, plus the exit codes.
+# after each command, whether numpy is loaded and which delaybif modules
+# are, plus the exit codes.
 _NUMPY_PROBE = textwrap.dedent("""\
     import json, sys
-    loaded = {"start": "numpy" in sys.modules}
+    def loaded():
+        return {"numpy": "numpy" in sys.modules,
+                "delaybif": sorted(m for m in sys.modules if m.split(".")[0] == "delaybif")}
+    steps = {"start": loaded()}
     from delaybif.cli import main
-    loaded["import"] = "numpy" in sys.modules
+    steps["import"] = loaded()
     codes = {}
     for name, command in json.loads(sys.argv[2]):
         codes[name] = main([command, "--config", f"{sys.argv[1]}/{name}.ini",
                             "--out", f"{sys.argv[1]}/{name}"])
-        loaded[name] = "numpy" in sys.modules
-    print(json.dumps({"loaded": loaded, "codes": codes}))
+        steps[name] = loaded()
+    print(json.dumps({"loaded": steps, "codes": codes}))
     """)
 
 
@@ -662,32 +676,91 @@ def _sweep_ini(axis, start, stop, count):
             f"count = {count}\n")
 
 
-def test_analysis_commands_do_not_import_numpy(tmp_path):
+def _probe_commands(tmp_path, order):
+    """The probe's record of the named runs, in this order, in one fresh
+    interpreter; skips where the interpreter loads numpy at start-up."""
     short = CUBIC_INI.replace("t_end = 60.0", "t_end = 12.0")
-    runs = [("analyze", "analyze", CUBIC_INI),
-            ("tau", "sweep", CUBIC_INI + _sweep_ini("tau", 0.005, 0.18, 8)),
-            ("epsilon", "sweep", CUBIC_INI + _sweep_ini("epsilon", 0.0, 0.9, 4)),
-            ("roots", "roots", CUBIC_INI),
-            ("simulate", "simulate", short),
-            ("eta", "sweep", short + _sweep_ini("eta", 1.02, 1.04, 2))]
-    for name, _, text in runs:
+    runs = {"analyze": ("analyze", CUBIC_INI),
+            "tau": ("sweep", CUBIC_INI + _sweep_ini("tau", 0.005, 0.18, 8)),
+            "epsilon": ("sweep", CUBIC_INI + _sweep_ini("epsilon", 0.0, 0.9, 4)),
+            "roots": ("roots", CUBIC_INI),
+            "simulate": ("simulate", short),
+            "eta": ("sweep", short + _sweep_ini("eta", 1.02, 1.04, 2))}
+    for name, (_, text) in runs.items():
         _write(tmp_path, text, name + ".ini")
     src = os.path.dirname(os.path.dirname(delaybif.__file__))
     proc = subprocess.run(
         [sys.executable, "-c", _NUMPY_PROBE, str(tmp_path),
-         json.dumps([(name, command) for name, command, _ in runs])],
+         json.dumps([(name, runs[name][0]) for name in order])],
         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
         timeout=120)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
-    if result["loaded"]["start"]:
+    if result["loaded"]["start"]["numpy"]:
         pytest.skip("this interpreter imports numpy at start-up")
-    assert result["codes"] == {name: 0 for name, _, _ in runs}
+    assert result["codes"] == {name: 0 for name in order}
+    return result["loaded"]
+
+
+def test_analysis_commands_do_not_import_numpy(tmp_path):
+    loaded = _probe_commands(
+        tmp_path, ["analyze", "tau", "epsilon", "roots", "simulate", "eta"])
     for step in ("import", "analyze", "tau", "epsilon", "roots"):
-        assert not result["loaded"][step], step
+        assert not loaded[step]["numpy"], step
     # simulating loads ddesim, and numpy with it, when the command runs
-    assert result["loaded"]["simulate"]
+    assert loaded["simulate"]["numpy"]
     assert (tmp_path / "eta" / "bifurcation.csv").exists()
+
+
+def test_each_command_loads_only_its_layers(tmp_path):
+    # ordered so that each step's new modules are its own
+    order = ["simulate", "roots", "tau", "epsilon", "analyze", "eta"]
+    loaded = _probe_commands(tmp_path, order)
+    assert loaded["start"]["delaybif"] == []
+    assert loaded["import"]["delaybif"] == [
+        "delaybif", "delaybif.cli", "delaybif.errors", "delaybif.models"]
+    added = {step: sorted(set(loaded[step]["delaybif"]) - set(loaded[before]["delaybif"]))
+             for before, step in zip(["import", *order], order)}
+    assert added == {"simulate": ["delaybif.ddesim"],
+                     "roots": ["delaybif.chareq"],
+                     "tau": ["delaybif.convergence"],
+                     "epsilon": ["delaybif.hopf"],
+                     "analyze": [],
+                     "eta": []}
+
+
+_PACKAGE_PROBE = textwrap.dedent("""\
+    import json, sys
+    def loaded():
+        return sorted(m for m in sys.modules if m == "numpy" or m.startswith("delaybif"))
+    import delaybif
+    names = [delaybif.CubicBD.__name__, delaybif.lambert_roots.__name__,
+             delaybif.rate_of_convergence.__name__]
+    after_names = loaded()
+    found = [hasattr(delaybif, probe) for probe in ("no_such_name", "__wrapped__")]
+    print(json.dumps({"names": names, "after_names": after_names, "found": found,
+                      "dir": dir(delaybif), "after_dir": loaded()}))
+    """)
+
+
+def test_lazy_package_keeps_its_surface():
+    src = os.path.dirname(os.path.dirname(delaybif.__file__))
+    proc = subprocess.run([sys.executable, "-c", _PACKAGE_PROBE],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["names"] == ["CubicBD", "lambert_roots", "rate_of_convergence"]
+    # each name loads its own module and what that imports, never numpy
+    assert result["after_names"] == ["delaybif", "delaybif.chareq", "delaybif.convergence",
+                                     "delaybif.errors", "delaybif.models"]
+    # a miss searches the numpy-free layers only; a dunder is not searched
+    assert result["found"] == [False, False]
+    assert "__all__" in result["dir"]
+    assert set(delaybif.__all__) <= set(result["dir"])
+    assert "DIVERGENCE_THRESHOLD" not in result["dir"]
+    assert result["after_dir"] == ["delaybif", "delaybif.chareq", "delaybif.convergence",
+                                   "delaybif.errors", "delaybif.hopf", "delaybif.models"]
 
 
 def test_package_resolves_simulation_names():
@@ -845,28 +918,52 @@ _COEFFICIENT = st.one_of(st.just(0.0), _MAGNITUDE, _MAGNITUDE.map(lambda x: -x))
 _HIGHER = ("xi_xx", "xi_xy", "xi_yy", "xi_xxx", "xi_xxy", "xi_xyy", "xi_yyy")
 
 
+# every [model] field of each built-in variant but tau
+_BUILT_IN_FIELDS = {"cubic": ("k", "mu", "lam"), "quadratic": ("k", "mu", "lam"),
+                    "nicholson": ("gamma", "p_rate", "x0_size")}
+
+
 @st.composite
-def _generic_runs(draw):
-    """A subcommand and a generic config anywhere in the float range."""
-    tau = draw(_MAGNITUDE)
-    lines = [f"xi_x = {-draw(_MAGNITUDE)!r}", f"xi_y = {-draw(_MAGNITUDE)!r}",
-             *(f"{name} = {draw(_COEFFICIENT)!r}" for name in _HIGHER), f"tau = {tau!r}"]
-    ini = ("[model]\nvariant = generic\n" + "\n".join(lines)
-           + f"\n[analysis]\neta = {draw(_MAGNITUDE)!r}\n")
-    command = draw(st.sampled_from(["analyze", "roots", "sweep tau", "sweep epsilon"]))
+def _runs(draw):
+    """A subcommand and a config of any variant anywhere in the float range."""
+    tau, eta = draw(_MAGNITUDE), draw(_MAGNITUDE)
+    variant = draw(st.sampled_from(["generic", *_BUILT_IN_FIELDS]))
+    if variant == "generic":
+        lines = [f"xi_x = {-draw(_MAGNITUDE)!r}", f"xi_y = {-draw(_MAGNITUDE)!r}",
+                 *(f"{name} = {draw(_COEFFICIENT)!r}" for name in _HIGHER)]
+    else:
+        lines = [f"{name} = {draw(_COEFFICIENT)!r}" for name in _BUILT_IN_FIELDS[variant]]
+    ini = (f"[model]\nvariant = {variant}\n" + "\n".join(lines) + f"\ntau = {tau!r}"
+           + f"\n[analysis]\neta = {eta!r}\n")
+    command = draw(st.sampled_from(["analyze", "roots", "sweep tau", "sweep epsilon",
+                                    "simulate", "sweep eta"]))
+    if command in ("simulate", "sweep eta"):
+        # 50 to 100 delays of 100 default steps: at most 10^4 steps a run
+        t_end = tau * draw(st.floats(50.0, 100.0))
+        ini += (f"[sim]\neta = {eta!r}\nx_init = {draw(_COEFFICIENT)!r}\n"
+                f"t_end = {t_end!r}\n")
     if command == "sweep tau":
         ini += _sweep_ini("tau", tau, 2.0 * tau, 2)
     elif command == "sweep epsilon":
         ini += _sweep_ini("epsilon", 0.0, 0.9, 2)
+    elif command == "sweep eta":
+        ini += _sweep_ini("eta", eta, 2.0 * eta, 2)
+        ini += f"continue_history = {draw(st.booleans())}\n"
     return command.split()[0], ini
 
 
-@given(run=_generic_runs())
+@given(run=_runs())
 @example(run=("analyze", "[model]\nvariant = generic\n" + _CM_OVERFLOW))
 @example(run=("analyze", "[model]\nvariant = generic\n" + _SUBNORMAL_ETA_C))
 # tau*im_max/(2 pi) = 8e5 Lambert-W branches: refused before the first one
 @example(run=("roots", "[model]\nvariant = generic\nxi_x = -1.0\nxi_y = -2.0\ntau = 1e6\n"))
-@settings(max_examples=25, deadline=None)
+# 1/tau overflows: the default region is clamped to the float range
+@example(run=("roots", "[model]\nvariant = generic\nxi_x = -0.5\nxi_y = -1.3\ntau = 1e-310\n"))
+# t^2 underflows in the decay-rate fit, which raised LinAlgError
+@example(run=("simulate", "[model]\nvariant = cubic\nk = 1.0\nmu = 0.0\nlam = 0.0\n"
+              "tau = 1.8662951286209762e-164\n[sim]\neta = 1.0\nx_init = 1.0\n"
+              "t_end = 9.331475643104881e-163\n"))
+@settings(max_examples=60, deadline=None)
 def test_every_run_exits_with_a_documented_code(tmp_path_factory, run):
     # no traceback over the float range: an escaping exception fails the test
     command, ini = run

@@ -160,6 +160,20 @@ def test_converged_below_hopf(ex1_spec, ex1_coeffs):
     assert m.decay_rate == pytest.approx(sigma, rel=5e-2)
 
 
+@pytest.mark.parametrize("tau", [2.0 ** -1000, 2.0 ** -600, 2.0 ** 520],
+                         ids=["2^-1000", "2^-600", "2^520"])
+def test_decay_rate_is_fitted_in_units_of_the_delay(tau):
+    # coefficients in units of 1/tau give the tau = 1 run, rescaled exactly in
+    # time; the fit's t^2 under- or overflows at these delays, the rate not
+    def rate(tau):
+        spec = Generic(TaylorCoefficients(xi_x=-0.5 / tau, xi_y=-1.0 / tau, tau=tau))
+        m = metrics(integrate(spec, SimConfig(eta=1.0, x_init=1.0, t_end=60.0 * tau)))
+        assert m.verdict is Verdict.CONVERGED_TO_EQUILIBRIUM
+        return m.decay_rate
+
+    assert rate(tau) * tau == rate(1.0)
+
+
 def test_limit_cycle_above_hopf(ex1_spec):
     m = metrics(integrate(ex1_spec,
                           SimConfig(eta=1.05, x_init=0.9, t_end=60.0)))
