@@ -3,12 +3,12 @@
 Hopf point location, closed-form stability verdicts, transversality, and the
 characteristic roots in two independent ways.  In closed form, the roots are
 lambda_k = -eta*a + W_k(z)/tau with z = -eta*b*tau*e^(eta*a*tau), one per
-branch of the Lambert W function; `lambert_roots` enumerates the branches
-that reach the search region, and the principal one alone gives the decay
-rates of `convergence`.  As a numerical oracle that never uses that formula,
-`rightmost_roots` locates the roots by argument-principle winding counts
-with Newton polish.  Only the principal (n = 0) crossing branch of the Hopf
-point is treated.
+branch of the Lambert W function; W0 alone gives the rightmost root, sigma,
+u2 and tau*.  `_principal_root` gives that root to `convergence` and to
+`lambert_roots`, which lists it first, as `analyze`'s -sigma.  As a
+numerical oracle that never uses that formula, `rightmost_roots` locates
+the roots by argument-principle winding counts with Newton polish.  Only
+the principal (n = 0) crossing branch of the Hopf point is treated.
 
 The winding search subdivides the region by two rules.  A cell of winding 1,
 at any size, is settled by one Newton solve from its center when that solve
@@ -206,104 +206,105 @@ _BRANCH_SERIES = (-1.0, 1.0, -1 / 3, 11 / 72, -43 / 540, 769 / 17280,
                   -221 / 8505, 680863 / 43545600)
 
 
-def _lambert_w0(z: float, log_z: complex | None = None) -> complex:
-    """Principal branch W0 of w e^w = z for real z < 1/e; Im w > 0 below -1/e.
+def _lambert_w(k: int, z: float, log_mz: float | None = None) -> complex:
+    """Branch W_k, k >= -1, of w e^w = z at a real z < 1/e.
 
-    Near -1/e and near 0, Halley iteration on w e^w - z from the starts of
-    Corless et al. (1996): the series in p, returned as is for |p| < 0.01
-    where Halley's division by w + 1 would only add noise, and log(1 + z).
-    Elsewhere Newton on w + log w = L from L - log L, where L is log_z if
-    given, else log z; so z may be -inf where only its logarithm is finite.
+    W0 is real on [-1/e, 1/e) and has Im w in (0, pi) below -1/e; W_-1 is
+    the real root w <= -1 on -1/e <= z < 0, returned with Im w = 0; for
+    k >= 1, z < 0 and Im w lies in (2k pi, (2k + 1) pi).  Near -1/e (W0,
+    W_-1) and near 0 (W0), Halley iteration on w e^w - z from the starts of
+    Corless et al. (1996): the series in p (in -p for W_-1), returned as is
+    for |p| < 0.01 where Halley's division by w + 1 would only add noise,
+    and log(1 + z).  Elsewhere Newton on w + log w = L + (2k + 1) pi i from
+    L - log L (eq. 4.20), in its real form w + log(-w) = L from L - log(-L)
+    for W_-1, where L = log(-z) is log_mz if given; so z may over- or
+    underflow where only its logarithm is finite.
     """
     d = (z + _INV_E) + _INV_E_LO
-    log_target = None
-    if abs(d) < 0.3:
-        p = cmath.sqrt(2.0 * math.e * d)
+    log = None
+    if k <= 0 and abs(d) < 0.3:
+        # W_-1 takes the series in -p; its z >= -1/e leaves d >= -1.3e-17
+        p = -cmath.sqrt(2.0 * math.e * max(d, 0.0)) if k else cmath.sqrt(2.0 * math.e * d)
         w = 0j
         for c in reversed(_BRANCH_SERIES):
             w = w * p + c
         if abs(p) < 0.01:
             return w
-    elif d > 0.0:
+    elif k == 0 and d > 0.0:
         w = complex(math.log1p(z))
     else:
-        log_target = cmath.log(z) if log_z is None else log_z
-        w = log_target - cmath.log(log_target)
+        if log_mz is None:
+            log_mz = cmath.log(z).real
+        if k == -1:
+            # the left side is concave and increasing in w, so after the
+            # first step the iterates approach the root from the left
+            target, log = log_mz, lambda v: math.log(-v)
+        else:
+            target, log = complex(log_mz, (2 * k + 1) * math.pi), cmath.log
+        w = target - log(target)
     # cubic or quadratic convergence: the iterate after a step below 1e-8
     # is exact to rounding
     for _ in range(64):
-        if log_target is None:
+        if log is None:
             ew = cmath.exp(w)
             f = w * ew - z
             step = f / (ew * (w + 1.0) - (w + 2.0) * f / (2.0 * w + 2.0))
         else:
-            step = (w + cmath.log(w) - log_target) * w / (w + 1.0)
+            step = (w + log(w) - target) * w / (w + 1.0)
         w, last = w - step, w
         if abs(w - last) <= 1e-8 * abs(w):
-            return w
-    raise NoConvergence(f"Lambert W iteration did not converge at z = {z!r}")
+            return complex(w)
+    raise NoConvergence(f"Lambert W_{k} iteration did not converge at z = {z!r}, "
+                        f"log(-z) = {log_mz!r}")
 
 
-def _lambert_wk(k: int, log_mz: float) -> complex:
-    """Branch W_k, k >= 1, of w e^w = z at the real z = -e^log_mz.
-
-    Newton on w + log w = log(-z) + (2k + 1) pi i from the start L - log L
-    (Corless et al. 1996, eq. 4.20).  Only log(-z) enters, so z may over-
-    or underflow.  Im w lies in (2k pi, (2k + 1) pi).
-    """
-    target = complex(log_mz, (2 * k + 1) * math.pi)
-    w = target - cmath.log(target)
-    for _ in range(64):
-        step = (w + cmath.log(w) - target) * w / (w + 1.0)
-        w, last = w - step, w
-        if abs(w - last) <= 1e-8 * abs(w):
-            return w
-    raise NoConvergence(f"Lambert W_{k} iteration did not converge at log(-z) = {log_mz!r}")
-
-
-def _lambert_wm1(z: float, log_mz: float) -> float:
-    """Branch W_-1 of w e^w = z on -1/e <= z < 0: the real root w <= -1.
-
-    Near -1/e, Halley iteration from the series of `_lambert_w0` in -p,
-    which is returned as is for |p| < 0.01.  Elsewhere Newton on
-    w + log(-w) = log(-z), given as log_mz so that z may underflow to 0,
-    from L - log(-L); the left side is concave and increasing in w, so
-    after the first step the iterates approach the root from the left.
-    """
-    d = max((z + _INV_E) + _INV_E_LO, 0.0)
-    halley = d < 0.3
-    if halley:
-        p = -math.sqrt(2.0 * math.e * d)
-        w = 0.0
-        for c in reversed(_BRANCH_SERIES):
-            w = w * p + c
-        if p > -0.01:
-            return w
-    else:
-        w = log_mz - math.log(-log_mz)
-    for _ in range(64):
-        if halley:
-            ew = math.exp(w)
-            f = w * ew - z
-            step = f / (ew * (w + 1.0) - (w + 2.0) * f / (2.0 * w + 2.0))
-        else:
-            step = (w + math.log(-w) - log_mz) * w / (w + 1.0)
-        w, last = w - step, w
-        if abs(w - last) <= 1e-8 * abs(w):
-            return w
-    raise NoConvergence(f"Lambert W_-1 iteration did not converge at z = {z!r}")
-
-
-def _delay_product(a: float, b: float, tau: float) -> float:
-    """b*tau*e^(a*tau), the -z of the Lambert-W roots, which the regimes
-    compare with 1/e.
-
-    inf where it overflows, since its exact value then exceeds every float.
-    """
+def _lambert_argument(coeffs: TaylorCoefficients, eta: float) -> tuple[float, float]:
+    """-z = b tau e^(a tau), a = eta*a and b = eta*b, and log(b tau), tau > 0.
+    -z, which the regimes compare with 1/e, is inf where it overflows, as
+    its exact value then exceeds every float; log(-z) = log(b tau) + a*tau
+    stays finite.  eta and b enter apart: eta*b may underflow."""
+    a, b, tau = eta * coeffs.a, eta * coeffs.b, coeffs.tau
     try:
-        return b * tau * math.exp(a * tau)
+        product = b * tau * math.exp(a * tau)
     except OverflowError:
-        return math.inf
+        product = math.inf
+    return product, math.log(eta) + math.log(coeffs.b) + math.log(tau)
+
+
+def _principal_root(coeffs: TaylorCoefficients, eta: float, product: float,
+                    log_bt: float) -> tuple[float, float | None]:
+    """The rightmost characteristic root -a + W0(z)/tau = -sigma + i u2/tau
+    as (sigma, u2), with a = eta*a, b = eta*b and z = -b tau e^(a tau); u2
+    is None where W0 is real.  product and log_bt are -z and log(b tau)
+    from `_lambert_argument`; a*tau must be finite."""
+    a, b, tau = eta * coeffs.a, eta * coeffs.b, coeffs.tau
+    if product < 1e-17:
+        # W0(z) = z to rounding, and b e^(a tau) is -z/tau without the
+        # digits that a subnormal z loses
+        return a + b * math.exp(a * tau), None
+    w = _lambert_w(0, -product, log_bt + a * tau)
+    if product <= _INV_E:
+        # a - W0/tau adds two nonnegative numbers: nothing to polish
+        return a - w.real / tau, None
+    # W0 = b tau e^nu: log W0 gives both parts without the cancellation of
+    # a*tau - Re W0 and pi - Im W0, to about eps*|log(b tau)|.  Two Newton
+    # steps on nu - i pi + gap + bt*expm1(nu) = 0 then refine them: with the
+    # exact gap (b - a)*tau, its real part sums small terms near the cone
+    # edge, and its slope 1 + W0(z) is about 1 + a*tau, so sigma*tau comes
+    # out to full relative precision.  Not at the double root at tau*, where
+    # 1 + W0 vanishes, where b*tau overflows, far beyond the stability
+    # limit, nor where the root grows by more than 2 + |log(b tau)| per
+    # delay, as the terms then exceed the slope by about e^(-nu)
+    nu = cmath.log(w) - log_bt
+    bt, gap = b * tau, eta * (coeffs.b - coeffs.a) * tau
+    polish = abs(1.0 + w) > 1e-3 and bt < math.inf and nu.real > -math.log(2.0 + abs(log_bt))
+    for _ in range(2 if polish else 0):
+        x, y = nu.real, nu.imag
+        ex = math.exp(x)
+        g = complex(x + gap + bt * (math.expm1(x) * math.cos(y) - 2.0 * math.sin(0.5 * y) ** 2),
+                    y - math.pi + bt * ex * math.sin(y))
+        nu -= g / (1.0 + bt * ex * cmath.exp(1j * y))
+    return nu.real / tau, math.pi - nu.imag
 
 
 def _phase_winding(A: float, B: float, tau: float,
@@ -504,7 +505,7 @@ def rightmost_roots(coeffs: TaylorCoefficients, eta: float,
     return roots
 
 
-# as many branches as the winding search's cap on boundary samples per side
+# bounds one call's work; checked before any branch is computed
 _MAX_BRANCHES = 1 << 15
 
 
@@ -515,15 +516,21 @@ def lambert_roots(coeffs: TaylorCoefficients, eta: float,
 
     The roots are lambda_k = -eta*a + W_k(z)/tau with
     z = -eta*b*tau*e^(eta*a*tau) (Shinozaki & Mori, Automatica 42, 2006),
-    and log(-z) is taken as log(eta*b*tau) + eta*a*tau, so that z may
-    overflow.  Since Im W_k > (2k - 2)pi, the branches k = 0..K with
-    K = floor(tau*im_max/(2 pi)) + 1 reach past the top of the region; on
-    -1/e <= z < 0, W_-1 adds the second real root.  At the delay boundary
-    tau* of `convergence`, W_0 and W_-1 meet at -1 as a double root and
-    split by about sqrt(machine eps); where they agree to within 1e-7
-    relative they are reported once, as the W_0 root.  Arguments, the
+    and log(-z) is taken as log(eta) + log(b) + log(tau) + eta*a*tau, so
+    that z may overflow and eta*b underflow.  The W_0 root, the rightmost,
+    is -sigma + i u2/tau of `rate_of_convergence`, bit for bit; for k >= 1,
+    Re lambda_k = (log(eta*b*tau) - log|W_k|)/tau keeps its digits where
+    eta*a*tau is large.  Since Im W_k > (2k - 2)pi, the branches k = 0..K
+    with K = floor(tau*im_max/(2 pi)) + 1 reach past the top of the region;
+    on -1/e <= z < 0, W_-1 adds the second real root.  At the delay
+    boundary tau* of `convergence`, W_0 and W_-1 meet at -1 as a double
+    root and split by about sqrt(machine eps); where they agree to within
+    1e-7 relative they are reported once, as the W_0 root.  Arguments, the
     order, Im >= 0 and the residual |G(lambda)| are those of
-    `rightmost_roots`; without a delay the one root is -eta*(a + b).
+    `rightmost_roots`, except that the W_0 root comes first also where
+    another root's real part equals its own to rounding and reads higher
+    (unstable models with eta*a*tau far beyond 1); without a delay the one
+    root is -eta*(a + b).
 
     Raises
     ------
@@ -550,24 +557,22 @@ def lambert_roots(coeffs: TaylorCoefficients, eta: float,
     if a_tau == math.inf:
         raise InvalidSpec(f"eta*a*tau overflows at eta = {eta!r}, a = {a!r}, "
                           f"tau = {tau!r}")
-    # eta and b apart, since eta*b may underflow to 0
-    log_mz = math.log(eta) + math.log(b) + math.log(tau) + a_tau
-    B = eta * b
-    product = _delay_product(A, B, tau)
-    if product < 1e-17:
-        # W0(z) = z to rounding, and -B e^(A tau) is z/tau without the
-        # digits that a subnormal z loses
-        lams = [-A - B * math.exp(a_tau)]
-    else:
-        lams = [-A + _lambert_w0(-product, complex(log_mz, math.pi)) / tau]
+    product, log_bt = _lambert_argument(coeffs, eta)
+    sigma, u2 = _principal_root(coeffs, eta, product, log_bt)
+    lams = [-sigma if u2 is None else complex(-sigma, u2 / tau)]
+    log_mz = log_bt + a_tau
     if product <= _INV_E:
-        lower = -A + _lambert_wm1(-product, log_mz) / tau
+        lower = -A + _lambert_w(-1, -product, log_mz).real / tau
         if abs(lower - lams[0]) >= 1e-7 * (1.0 + abs(lower)):
             lams.append(lower)
-    lams += [-A + _lambert_wk(k, log_mz) / tau for k in range(1, int(turns) + 2)]
-    roots = [ComplexRoot(re=lam.real, im=abs(lam.imag),
-                         residual=abs(char_value(coeffs, eta, lam)))
-             for lam in lams
-             if search.re_min <= lam.real <= search.re_max and lam.imag <= search.im_max]
-    roots.sort(key=lambda r: (-r.re, r.im))
-    return roots
+    # Re lambda_k from |W_k| = eta*b*tau*e^(-tau Re lambda_k), as for W0:
+    # -A + Re W_k/tau would cancel where A*tau is large
+    ws = [_lambert_w(k, -product, log_mz) for k in range(1, int(turns) + 2)]
+    lams += [complex((log_bt - math.log(abs(w))) / tau, w.imag / tau) for w in ws]
+    # the W0 root is the rightmost; it stays first where another branch's
+    # real part, equal to its own within rounding, reads higher
+    lams[1:] = sorted(lams[1:], key=lambda lam: (-lam.real, abs(lam.imag)))
+    return [ComplexRoot(re=lam.real, im=abs(lam.imag),
+                        residual=abs(char_value(coeffs, eta, lam)))
+            for lam in lams
+            if search.re_min <= lam.real <= search.re_max and lam.imag <= search.im_max]

@@ -2,23 +2,23 @@
 
 The linear model u'(t) = -a u(t) - b u(t - tau) converges like e^(-sigma t)
 whenever it is stable.  Its characteristic roots are -a + W_k(z)/tau with
-z = -b tau e^(a tau), and the principal Lambert-W branch W0 gives the
-rightmost one, so sigma = a - Re W0(z)/tau, and the auxiliary angle of the
-oscillatory regime is u2 = |Im W0(z)|.  The delay
+z = -b tau e^(a tau); the principal branch W0 alone gives the rightmost
+one, the first root of `delaybif roots`, so sigma = a - Re W0(z)/tau, and
+the oscillatory regime's auxiliary angle is u2 = |Im W0(z)|.  The delay
 tau* = e^(-1 - W0(a/(b e)))/b, the root of b tau e^(a tau) = 1/e, separates
 the non-oscillatory regime (real rightmost root, sigma rising with tau) from
 the oscillatory one (complex rightmost root, sigma falling with tau).
 """
 from __future__ import annotations
 
-import cmath
 import dataclasses
 import enum
 import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .chareq import _INV_E, _delay_product, _lambert_w0, _require_gain, stability_verdict
+from .chareq import (_INV_E, _lambert_argument, _lambert_w, _principal_root, _require_gain,
+                     stability_verdict)
 from .errors import InvalidSpec
 from .models import TaylorCoefficients, _normal
 
@@ -73,22 +73,7 @@ def tau_star(coeffs: TaylorCoefficients, eta: float = 1.0) -> float:
     Taken as e^(-1 - W0(a/(b e)))/b, which needs no limit at a = 0.
     """
     a, b, _ = _scaled(coeffs, eta)
-    return math.exp(-1.0 - _lambert_w0(a / b / math.e).real) / b
-
-
-def _polish(nu: complex, bt: float, gap: float) -> complex:
-    """Two Newton steps on nu = sigma*tau + i(pi - u2), given b*tau and the
-    exact gap (b - a)*tau, where the characteristic equation reads
-    nu - i pi + gap + bt*expm1(nu) = 0.  Near the cone edge its real part
-    sums small terms without cancellation, and its derivative 1 + W0(z) is
-    about 1 + a*tau, so sigma*tau comes out to full relative precision."""
-    for _ in range(2):
-        x, y = nu.real, nu.imag
-        ex = math.exp(x)
-        g = complex(x + gap + bt * (math.expm1(x) * math.cos(y) - 2.0 * math.sin(0.5 * y) ** 2),
-                    y - math.pi + bt * ex * math.sin(y))
-        nu -= g / (1.0 + bt * ex * cmath.exp(1j * y))
-    return nu
+    return math.exp(-1.0 - _lambert_w(0, a / b / math.e).real) / b
 
 
 def rate_of_convergence(coeffs: TaylorCoefficients, eta: float = 1.0) -> ConvergenceReport:
@@ -103,8 +88,10 @@ def rate_of_convergence(coeffs: TaylorCoefficients, eta: float = 1.0) -> Converg
         sigma3 = a - Re W0(z)/tau = a + u2/(tau tan u2), u2 = Im W0(z)
                  in (0, pi); finite only for tau > tau*
 
-    and sigma = min over the finite ones.  sigma3 and u2 are polished by
-    Newton on the characteristic equation, and where b tau e^(a tau)
+    and sigma = min over the finite ones; -sigma2 or -sigma3 + i u2/tau is
+    the first root of `lambert_roots`, bit for bit.  sigma3 and u2 are
+    polished by Newton on the characteristic equation unless the root grows
+    by more than 2 + |log(b tau)| per delay; where b tau e^(a tau)
     overflows W0 is found from its logarithm.  For eta != 1 the gain is
     folded into the coefficients (a <- eta*a, b <- eta*b) first.  The
     regime is classify_regime's.  An unstable configuration is reported as
@@ -121,33 +108,16 @@ def rate_of_convergence(coeffs: TaylorCoefficients, eta: float = 1.0) -> Converg
         finite normal float (it overflows, or underflows to a subnormal or
         to 0).
     """
-    a, b, tau = _scaled(coeffs, eta)
+    a, _, tau = _scaled(coeffs, eta)
     if tau <= 0.0:
         raise InvalidSpec("rate of convergence needs tau > 0")
-    product = _delay_product(a, b, tau)
-    log_bt = math.log(b) + math.log(tau)
-    a_tau = a * tau
     sigma1 = a + 1.0 / tau
-    if a_tau == math.inf:
-        # log z overflows with a*tau; as floats b > a, so tau*sqrt(b^2 - a^2)
-        # exceeds 1e-8*a*tau, far past the stability limit: the regime is
-        # classify_regime's UNSTABLE without W0
-        return ConvergenceReport(sigma=0.0, sigma1=sigma1, sigma2=math.inf, sigma3=math.inf,
-                                 tau_star=tau_star(coeffs, eta), u2=None,
-                                 regime=Regime.UNSTABLE)
-    w = _lambert_w0(-product, complex(log_bt + a_tau, math.pi))
-    if product <= _INV_E:
-        # a - W0/tau adds two nonnegative numbers: nothing to polish
-        sigma2, sigma3, u2 = a - w.real / tau, math.inf, None
-    else:
-        # W0 = b tau e^nu: log W0 gives both parts without the cancellation
-        # of a*tau - Re W0 and pi - Im W0; Newton then refines them, except
-        # at the double root at tau*, where 1 + W0 vanishes, and where b*tau
-        # overflows, far beyond the stability limit
-        nu = cmath.log(w) - log_bt
-        if abs(1.0 + w) > 1e-3 and b * tau < math.inf:
-            nu = _polish(nu, b * tau, eta * (coeffs.b - coeffs.a) * tau)
-        sigma2, sigma3, u2 = math.inf, nu.real / tau, math.pi - nu.imag
+    # log z overflows with a*tau; as floats b > a, so tau*sqrt(b^2 - a^2)
+    # exceeds 1e-8*a*tau, far past the stability limit: the regime is
+    # classify_regime's UNSTABLE without W0
+    rate, u2 = ((math.inf, None) if a * tau == math.inf
+                else _principal_root(coeffs, eta, *_lambert_argument(coeffs, eta)))
+    sigma2, sigma3 = (rate, math.inf) if u2 is None else (math.inf, rate)
     # the regime is decided exactly; a stable model's sigma may underflow to 0
     regime = classify_regime(coeffs, eta)
     sigma = 0.0 if regime is Regime.UNSTABLE else max(min(sigma1, sigma2, sigma3), 0.0)
@@ -157,10 +127,10 @@ def rate_of_convergence(coeffs: TaylorCoefficients, eta: float = 1.0) -> Converg
 
 def non_oscillatory(coeffs: TaylorCoefficients, eta: float = 1.0) -> bool:
     """True iff convergence is monotone: b*tau*e^(a*tau) <= 1/e (tau <= tau*)."""
-    a, b, tau = _scaled(coeffs, eta)
+    _, _, tau = _scaled(coeffs, eta)
     if tau <= 0.0:
         raise InvalidSpec("non-oscillatory test needs tau > 0")
-    return _delay_product(a, b, tau) <= _INV_E
+    return _lambert_argument(coeffs, eta)[0] <= _INV_E
 
 
 def classify_regime(coeffs: TaylorCoefficients, eta: float = 1.0) -> Regime:
@@ -170,10 +140,10 @@ def classify_regime(coeffs: TaylorCoefficients, eta: float = 1.0) -> Regime:
     at and beyond eta*tau*sqrt(b^2-a^2) = arccos(-a/b); otherwise
     NonOscillatoryStable on (0, tau*] and OscillatoryStable above tau*.
     """
-    a, b, tau = _scaled(coeffs, eta)
+    _scaled(coeffs, eta)  # InvalidSpec where eta*b is not a normal float
     if stability_verdict(coeffs, eta) != "stable":
         return Regime.UNSTABLE
-    if _delay_product(a, b, tau) <= _INV_E:
+    if _lambert_argument(coeffs, eta)[0] <= _INV_E:
         return Regime.NON_OSCILLATORY_STABLE
     return Regime.OSCILLATORY_STABLE
 

@@ -24,6 +24,7 @@ from delaybif import (
     critical_eta,
     is_locally_stable,
     lambert_roots,
+    rate_of_convergence,
     rightmost_roots,
     stability_verdict,
     sufficient_stable,
@@ -31,7 +32,7 @@ from delaybif import (
     taylor_coefficients,
 )
 
-from delaybif.chareq import _lambert_w0, _lambert_wk, _lambert_wm1
+from delaybif.chareq import _lambert_w
 
 from _oracles import (
     EX1_ALPHA_PRIME,
@@ -528,8 +529,7 @@ def test_lambert_roots_refuse_too_many_branches_before_computing_one(
     def no_branch(*args):
         raise AssertionError("a branch was computed")
 
-    for name in ("_lambert_w0", "_lambert_wm1", "_lambert_wk"):
-        monkeypatch.setattr(chareq, name, no_branch)
+    monkeypatch.setattr(chareq, "_lambert_w", no_branch)
     for tau, im_max in ((1.0, 2.0 * math.pi * 2 ** 15), (1e300, 1e10)):
         c = dataclasses.replace(wright_coeffs, tau=tau)
         region = RootSearchRegion(re_min=-1.0, re_max=1.0, im_max=im_max)
@@ -537,18 +537,22 @@ def test_lambert_roots_refuse_too_many_branches_before_computing_one(
             lambert_roots(c, 1.0, search=region)
 
 
-@pytest.mark.parametrize("tau", [1e-310, 1e-320, 5e-324])
-def test_lambert_roots_at_a_subnormal_delay(tau):
-    # b*tau*e^(a*tau) is subnormal and has lost digits; the root is -(a + b)
-    c = TaylorCoefficients(xi_x=-0.5, xi_y=-1.3, tau=tau)
+@pytest.mark.parametrize("a, b, tau", [(0.5, 1.3, 1e-310), (0.5, 1.3, 1e-320),
+                                     (0.5, 1.3, 5e-324), (0.0, 3e-5, 1e-319)],
+                         ids=["1e-310", "1e-320", "5e-324", "b=3e-5"])
+def test_lambert_roots_at_a_subnormal_delay(a, b, tau):
+    # b*tau*e^(a*tau) is subnormal and has lost digits (3e-324 rounds to
+    # 4.94e-324); the root is -(a + b), and the decay rate a + b
+    c = TaylorCoefficients(xi_x=-a, xi_y=-b, tau=tau)
     # 1/tau overflows: the default region is clamped to the float range, and
     # every root but -(a + b) lies below it
     default = RootSearchRegion.default_for(c, 1.0)
-    assert default == RootSearchRegion(re_min=-sys.float_info.max, re_max=1.3,
+    assert default == RootSearchRegion(re_min=-sys.float_info.max, re_max=(b - a) + 0.5,
                                        im_max=0.5 * sys.float_info.max)
     for region in (RootSearchRegion(re_min=-3.0, re_max=1.0, im_max=1.0), None):
         assert (lambert_roots(c, 1.0, search=region)
-                == [ComplexRoot(re=-1.8, im=0.0, residual=0.0)])
+                == [ComplexRoot(re=-(a + b), im=0.0, residual=0.0)])
+    assert rate_of_convergence(c, 1.0).sigma == a + b
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -585,7 +589,7 @@ _W0_REAL_BRANCH = (list(np.linspace(0.0, math.exp(-1.0), 200, endpoint=False))
 def test_lambert_w0_matches_scipy(zs):
     special = pytest.importorskip("scipy.special")
     for z in map(float, zs):
-        w, ref = _lambert_w0(z), complex(special.lambertw(z, 0))
+        w, ref = _lambert_w(0, z), complex(special.lambertw(z, 0))
         assert abs(w - ref) <= 1e-13 * abs(ref), z
 
 
@@ -594,7 +598,7 @@ def test_lambert_w0_at_the_branch_point():
     # the branch (real above -1/e, Im w > 0 below) and the defining relation
     for d in 10.0 ** np.linspace(-16.0, -5.0, 23):
         for z in (-math.exp(-1.0) + d, -math.exp(-1.0) - d):
-            w = _lambert_w0(z)
+            w = _lambert_w(0, z)
             assert abs(w + 1.0) < 2.0 * math.sqrt(2.0 * math.e * d) + 1e-15
             assert abs(w * cmath.exp(w) - z) < 1e-16
             assert (w.imag == 0.0) if z > -math.exp(-1.0) else (w.imag > 0.0)
@@ -605,7 +609,7 @@ def test_lambert_w0_logarithmic_form(log_abs_z):
     # z itself overflows to -inf; w + log w = log z must hold, with the
     # value from above the cut (Im w rounds to pi once |w| passes 1e16)
     log_z = complex(log_abs_z, math.pi)
-    w = _lambert_w0(-math.inf, log_z)
+    w = _lambert_w(0, -math.inf, log_abs_z)
     assert abs(w + cmath.log(w) - log_z) <= 4e-16 * abs(log_z)
     assert 0.0 < w.imag <= math.pi
 
@@ -614,16 +618,16 @@ def test_lambert_w0_at_the_largest_floats():
     # an OverflowError here would leave a model unanswered; an overflowing
     # z passed by its logarithm must give the same value
     for z in (-1e308, -1.7e308):
-        w = _lambert_w0(z)
+        w = _lambert_w(0, z)
         assert abs(w + cmath.log(w) - cmath.log(z)) <= 1e-15 * abs(cmath.log(z))
-        assert _lambert_w0(-math.inf, cmath.log(z)) == w
+        assert _lambert_w(0, -math.inf, cmath.log(z).real) == w
 
 
 @pytest.mark.parametrize("k", [1, 2, 5, 30])
 def test_lambert_wk_matches_scipy(k):
     special = pytest.importorskip("scipy.special")
     for z in map(float, -np.geomspace(1e-8, 1e8, 400)):
-        w, ref = _lambert_wk(k, math.log(-z)), complex(special.lambertw(z, k))
+        w, ref = _lambert_w(k, z, math.log(-z)), complex(special.lambertw(z, k))
         assert abs(w - ref) <= 1e-15 * abs(ref), z
 
 
@@ -632,7 +636,7 @@ def test_lambert_wk_logarithmic_form(log_abs_z):
     # z = -inf: only log(-z) enters, and w + log w = log(-z) + (2k + 1) pi i
     for k in (1, 2, 5, 30):
         target = complex(log_abs_z, (2 * k + 1) * math.pi)
-        w = _lambert_wk(k, log_abs_z)
+        w = _lambert_w(k, -math.inf, log_abs_z)
         assert abs(w + cmath.log(w) - target) <= 4e-16 * abs(target)
         assert 2 * k * math.pi < w.imag <= (2 * k + 1) * math.pi
 
@@ -644,18 +648,19 @@ _WM1_REAL = (list(-np.geomspace(1e-300, 0.3, 300))
 def test_lambert_wm1_matches_scipy():
     special = pytest.importorskip("scipy.special")
     for z in map(float, _WM1_REAL):
-        w, ref = _lambert_wm1(z, math.log(-z)), complex(special.lambertw(z, -1))
-        assert ref.imag == 0.0 and abs(w - ref.real) <= 1e-13 * abs(ref), z
+        w, ref = _lambert_w(-1, z, math.log(-z)), complex(special.lambertw(z, -1))
+        assert w.imag == ref.imag == 0.0 and abs(w - ref) <= 1e-13 * abs(ref), z
 
 
 def test_lambert_wm1_at_the_branch_point_and_below_the_smallest_float():
     # closer in than 1e-5, scipy's own value loses digits: check the branch
-    # (w <= -1) and the defining relation, as for W0
+    # (w real and <= -1) and the defining relation, as for W0
     for d in 10.0 ** np.linspace(-16.0, -5.0, 23):
         z = -math.exp(-1.0) + d
-        w = _lambert_wm1(z, math.log(-z))
-        assert -1.0 - 2.0 * math.sqrt(2.0 * math.e * d) - 1e-15 < w <= -1.0
-        assert abs(w * math.exp(w) - z) < 1e-16
+        w = _lambert_w(-1, z, math.log(-z))
+        assert w.imag == 0.0
+        assert -1.0 - 2.0 * math.sqrt(2.0 * math.e * d) - 1e-15 < w.real <= -1.0
+        assert abs(w * cmath.exp(w) - z) < 1e-16
     # z = -e^-800 underflows to -0.0; only its logarithm enters
-    w = _lambert_wm1(-0.0, -800.0)
-    assert abs(w + math.log(-w) + 800.0) <= 1e-15 * 800.0
+    w = _lambert_w(-1, -0.0, -800.0)
+    assert w.imag == 0.0 and abs(w + cmath.log(-w) + 800.0) <= 1e-15 * 800.0

@@ -10,16 +10,18 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from delaybif import (
     InvalidSpec,
     Regime,
+    RootSearchRegion,
     TaylorCoefficients,
     char_value,
     critical_eta,
     classify_regime,
+    lambert_roots,
     non_oscillatory,
     rate_of_convergence,
     rightmost_roots,
@@ -312,12 +314,86 @@ def test_cone_edge_decay_rate_is_resolved():
     assert rep.sigma == pytest.approx(4.8349031499000755e-12, rel=1e-9)
 
 
+def test_cone_edge_roots_keep_their_order():
+    # -a + Re W_k(z)/tau would round each real part to a multiple of
+    # 1.2e-10, ulp(a*tau); taken from log|W_k| they keep 1e-14 (80-digit
+    # Lambert W for k = 1, 2 below), and the W0 root, -sigma, comes first
+    c = TaylorCoefficients(xi_x=-1e6, xi_y=-1e6 * (1.0 + 1e-13), tau=1.0)
+    rep = rate_of_convergence(c)
+    roots = lambert_roots(c, 1.0, search=RootSearchRegion(re_min=-1.0, re_max=1.0, im_max=20.0))
+    assert (roots[0].re, roots[0].im) == (-rep.sigma, rep.u2 / c.tau)
+    assert ([r.re for r in roots[1:]]
+            == pytest.approx([-4.431320231729340145e-11, -1.2326980064272885848e-10], abs=1e-14))
+
+
+def test_w0_root_comes_first_where_another_ties_it():
+    # unstable: W_1's real part lies 4e-17 below the W0 root's 1e-8
+    # (80-digit Lambert W), under the 3.6e-15 rounding of log(b tau), and
+    # reads 1e-15 above it; the W0 root, the rightmost, still comes first
+    c = TaylorCoefficients(xi_x=-1e9, xi_y=-1e9 * (1.0 + 1e-8), tau=1.0)
+    rep = rate_of_convergence(c)
+    roots = lambert_roots(c, 1.0, search=RootSearchRegion(re_min=-1.0, re_max=1.0, im_max=20.0))
+    assert (roots[0].re, roots[0].im) == (-rep.sigma3, rep.u2 / c.tau)
+    assert roots[1].re == pytest.approx(9.999999776377492e-09, abs=4e-15)
+
+
 def test_near_cone_edge_root_solves_characteristic_equation():
     a = 5000.0
     c = TaylorCoefficients(xi_x=-a, xi_y=-a * (1.0 + 1e-9), tau=1.0)
     rep = rate_of_convergence(c)
     lam = complex(-rep.sigma, rep.u2 / c.tau)
     assert abs(char_value(c, 1.0, lam)) < 1e-9 * (1.0 + c.a + c.b)
+    # `delaybif roots` opens with the same root (60-digit Lambert W:
+    # -1.962738610323669263e-07)
+    top = lambert_roots(c, 1.0)[0]
+    assert (top.re, top.im) == (lam.real, lam.imag)
+
+
+@given(log_b=st.floats(-300.0, 300.0), eps=st.floats(0.0, 1.0, exclude_max=True),
+       log_eta=st.floats(-300.0, 300.0), ratio=st.floats(0.01, 0.99))
+@settings(max_examples=300, deadline=None)
+def test_lambert_roots_open_with_the_decay_rate_root(log_b, eps, log_eta, ratio):
+    # one principal-branch evaluation gives both: the first root of
+    # lambert_roots is the finite one of -sigma2 and -sigma3, at height
+    # u2/tau, bit for bit, ahead of the branches k = 1..5
+    b, eta = 10.0 ** log_b, 10.0 ** log_eta
+    assume(sys.float_info.min <= eta * b < math.inf and eps * b < b)
+    c = TaylorCoefficients(xi_x=-eps * b, xi_y=-b)
+    s = c.b * c.r
+    assume(s >= sys.float_info.min)
+    # ratio places eta*tau*s below the limit theta
+    log_tau = math.log(ratio * c.theta) - math.log(s) - math.log(eta)
+    assume(math.log(1e-300) < log_tau < math.log(sys.float_info.max))
+    c = replace(c, tau=math.exp(log_tau))
+    assume(eta * c.a * c.tau < math.inf and stability_verdict(c, eta) == "stable")
+    rep = rate_of_convergence(c, eta)
+    rate = min(rep.sigma2, rep.sigma3)
+    assume(2.0 * rate + 1.0 < sys.float_info.max)
+    region = RootSearchRegion(re_min=-2.0 * rate - 1.0, re_max=1.0, im_max=8.0 * math.pi / c.tau)
+    top = lambert_roots(c, eta, search=region)[0]
+    assert (top.re, top.im) == (-rate, 0.0 if rep.u2 is None else rep.u2 / c.tau)
+
+
+@given(e=st.integers(-1074, -1023), m=st.floats(1.0, 2.0, exclude_max=True),
+       eps=st.floats(0.0, 1.0, exclude_max=True), log2_tau=st.floats(900.0, 1023.5))
+@settings(max_examples=300, deadline=None)
+@example(e=-1024, m=1.3, eps=0.5, log2_tau=1023.0)  # b*tau = 0.5: oscillatory
+def test_lambert_roots_open_with_the_decay_rate_root_below_normal_eta_b(e, m, eps, log2_tau):
+    # eta*b = m*2^e is subnormal, which rate_of_convergence refuses; the
+    # roots at gain 2^e and delay tau are 2^e times those at gain 1 and
+    # delay 2^e*tau (scaled exactly), so the first root of lambert_roots is
+    # 2^e times that model's -sigma + i u2/tau, to the subnormals' spacing
+    # of 5e-324 and to 1e-13 of the larger of it and 1/tau
+    eta, tau = 2.0 ** e, 2.0 ** log2_tau / m
+    c = TaylorCoefficients(xi_x=-eps * m, xi_y=-m, tau=tau)
+    rep = rate_of_convergence(replace(c, tau=eta * tau))
+    re = -min(rep.sigma2, rep.sigma3) * eta
+    im = 0.0 if rep.u2 is None else rep.u2 / (eta * tau) * eta
+    region = RootSearchRegion(re_min=-2.0 * abs(re) - 4.0 / tau, re_max=1.0,
+                              im_max=8.0 * math.pi / tau)
+    top = lambert_roots(c, eta, search=region)[0]
+    tol = 16 * 5e-324 + 1e-13 * max(abs(complex(re, im)), 1.0 / tau)
+    assert abs(top.re - re) <= tol and abs(top.im - im) <= tol
 
 
 @pytest.mark.parametrize("tau", [1e9, 1e10])
@@ -328,6 +404,16 @@ def test_growth_bound_at_large_delay(tau):
     rep = rate_of_convergence(c)
     assert rep.regime is Regime.UNSTABLE
     assert rep.sigma3 == pytest.approx(-math.log(1.5) / tau, rel=1e-6)
+
+
+def test_fast_growth_rate_is_not_polished_away():
+    # Wright's equation at tau = 1e6 grows by e^11 per delay; Newton's
+    # residual there sums terms near b*tau = 1e6 against a slope of 2.9, so
+    # a polish would cost 1e-12 that log W0 keeps (50-digit Lambert W)
+    c = TaylorCoefficients(xi_x=0.0, xi_y=-1.0, tau=1e6)
+    rep = rate_of_convergence(c)
+    assert rep.sigma3 == pytest.approx(-1.13544677771688590841e-05, rel=1e-15)
+    assert rep.u2 == pytest.approx(2.892179148994875245017, rel=1e-15)
 
 
 @pytest.mark.parametrize("coeffs, eta", [
