@@ -4,11 +4,12 @@ Hopf point location, closed-form stability verdicts, transversality, and the
 characteristic roots in two independent ways.  In closed form, the roots are
 lambda_k = -eta*a + W_k(z)/tau with z = -eta*b*tau*e^(eta*a*tau), one per
 branch of the Lambert W function; W0 alone gives the rightmost root, sigma,
-u2 and tau*.  `_principal_root` gives that root to `convergence` and to
-`lambert_roots`, which lists it first, as `analyze`'s -sigma.  As a
-numerical oracle that never uses that formula, `rightmost_roots` locates
-the roots by argument-principle winding counts with Newton polish.  Only
-the principal (n = 0) crossing branch of the Hopf point is treated.
+u2 and tau*.  `_branch_root` gives the root of any branch: of W0 to
+`convergence`, as `analyze`'s -sigma, and of every branch to
+`lambert_roots`, which lists them in branch order.  As a numerical oracle
+that never uses that formula, `rightmost_roots` locates the roots by
+argument-principle winding counts with Newton polish.  Only the principal
+(n = 0) crossing branch of the Hopf point is treated.
 
 The winding search subdivides the region by two rules.  A cell of winding 1,
 at any size, is settled by one Newton solve from its center when that solve
@@ -271,40 +272,46 @@ def _lambert_argument(coeffs: TaylorCoefficients, eta: float) -> tuple[float, fl
     return product, math.log(eta) + math.log(coeffs.b) + math.log(tau)
 
 
-def _principal_root(coeffs: TaylorCoefficients, eta: float, product: float,
-                    log_bt: float) -> tuple[float, float | None]:
-    """The rightmost characteristic root -a + W0(z)/tau = -sigma + i u2/tau
-    as (sigma, u2), with a = eta*a, b = eta*b and z = -b tau e^(a tau); u2
-    is None where W0 is real.  product and log_bt are -z and log(b tau)
-    from `_lambert_argument`; a*tau must be finite."""
+def _branch_root(coeffs: TaylorCoefficients, eta: float, k: int, product: float,
+                 log_bt: float) -> tuple[float, float | None]:
+    """The characteristic root -a + W_k(z)/tau = -s + i u/tau of branch
+    k >= -1 as (s, u), with a = eta*a, b = eta*b and z = -b tau e^(a tau);
+    u is None where W_k is real (W0 and W_-1 on z >= -1/e, the only place
+    W_-1 may be asked for).  For k = 0 it is the rightmost root, s being
+    sigma and u u2.  product and log_bt are -z and log(b tau) from
+    `_lambert_argument`; a*tau must be finite."""
     a, b, tau = eta * coeffs.a, eta * coeffs.b, coeffs.tau
-    if product < 1e-17:
+    if k == 0 and product < 1e-17:
         # W0(z) = z to rounding, and b e^(a tau) is -z/tau without the
         # digits that a subnormal z loses
         return a + b * math.exp(a * tau), None
-    w = _lambert_w(0, -product, log_bt + a * tau)
-    if product <= _INV_E:
-        # a - W0/tau adds two nonnegative numbers: nothing to polish
+    w = _lambert_w(k, -product, log_bt + a * tau)
+    if k <= 0 and product <= _INV_E:
+        # a - W/tau adds two nonnegative numbers: nothing to polish
         return a - w.real / tau, None
-    # W0 = b tau e^nu: log W0 gives both parts without the cancellation of
-    # a*tau - Re W0 and pi - Im W0, to about eps*|log(b tau)|.  Two Newton
-    # steps on nu - i pi + gap + bt*expm1(nu) = 0 then refine them: with the
-    # exact gap (b - a)*tau, its real part sums small terms near the cone
-    # edge, and its slope 1 + W0(z) is about 1 + a*tau, so sigma*tau comes
-    # out to full relative precision.  Not at the double root at tau*, where
-    # 1 + W0 vanishes, where b*tau overflows, far beyond the stability
-    # limit, nor where the root grows by more than 2 + |log(b tau)| per
-    # delay, as the terms then exceed the slope by about e^(-nu)
+    # W = b tau e^nu with w + log w = log(-z) + c i: log W gives both parts
+    # without the cancellation of a*tau - Re W and c - Im W, to about
+    # eps*|log(b tau)|.  Two Newton steps on nu - c i + gap + bt*expm1(nu)
+    # = 0 then refine them: with the exact gap (b - a)*tau, its real part
+    # sums small terms near the cone edge, and its slope 1 + W is about
+    # 1 + a*tau, so s*tau comes out to full relative precision.  Not at the
+    # double root at tau*, where 1 + W0 vanishes, where b is subnormal (it
+    # would solve the rounded b's equation) or b*tau overflows, nor where
+    # the root grows by more than 2 + |log(b tau)| per delay, as the terms
+    # then exceed the slope by about e^(-nu), or decays so fast that e^nu
+    # overflows
+    c = (2 * k + 1) * math.pi
     nu = cmath.log(w) - log_bt
     bt, gap = b * tau, eta * (coeffs.b - coeffs.a) * tau
-    polish = abs(1.0 + w) > 1e-3 and bt < math.inf and nu.real > -math.log(2.0 + abs(log_bt))
+    polish = (abs(1.0 + w) > 1e-3 and sys.float_info.min <= b and bt < math.inf
+              and -math.log(2.0 + abs(log_bt)) < nu.real < 709.0)
     for _ in range(2 if polish else 0):
         x, y = nu.real, nu.imag
         ex = math.exp(x)
         g = complex(x + gap + bt * (math.expm1(x) * math.cos(y) - 2.0 * math.sin(0.5 * y) ** 2),
-                    y - math.pi + bt * ex * math.sin(y))
+                    y - c + bt * ex * math.sin(y))
         nu -= g / (1.0 + bt * ex * cmath.exp(1j * y))
-    return nu.real / tau, math.pi - nu.imag
+    return nu.real / tau, c - nu.imag
 
 
 def _phase_winding(A: float, B: float, tau: float,
@@ -517,20 +524,19 @@ def lambert_roots(coeffs: TaylorCoefficients, eta: float,
     The roots are lambda_k = -eta*a + W_k(z)/tau with
     z = -eta*b*tau*e^(eta*a*tau) (Shinozaki & Mori, Automatica 42, 2006),
     and log(-z) is taken as log(eta) + log(b) + log(tau) + eta*a*tau, so
-    that z may overflow and eta*b underflow.  The W_0 root, the rightmost,
-    is -sigma + i u2/tau of `rate_of_convergence`, bit for bit; for k >= 1,
-    Re lambda_k = (log(eta*b*tau) - log|W_k|)/tau keeps its digits where
-    eta*a*tau is large.  Since Im W_k > (2k - 2)pi, the branches k = 0..K
-    with K = floor(tau*im_max/(2 pi)) + 1 reach past the top of the region;
-    on -1/e <= z < 0, W_-1 adds the second real root.  At the delay
-    boundary tau* of `convergence`, W_0 and W_-1 meet at -1 as a double
-    root and split by about sqrt(machine eps); where they agree to within
-    1e-7 relative they are reported once, as the W_0 root.  Arguments, the
-    order, Im >= 0 and the residual |G(lambda)| are those of
-    `rightmost_roots`, except that the W_0 root comes first also where
-    another root's real part equals its own to rounding and reads higher
-    (unstable models with eta*a*tau far beyond 1); without a delay the one
-    root is -eta*(a + b).
+    that z may overflow and eta*b underflow.  Every branch's root comes
+    from `_branch_root`, so the W_0 root, the rightmost, is -sigma +
+    i u2/tau of `rate_of_convergence`, bit for bit, and every real part
+    keeps its digits where eta*a*tau is large.  Since Im W_k > (2k - 2)pi,
+    the branches k = 0..K with K = floor(tau*im_max/(2 pi)) + 1 reach past
+    the top of the region; on -1/e <= z < 0, W_-1 adds the second real
+    root.  At the delay boundary tau* of `convergence`, W_0 and W_-1 meet
+    at -1 as a double root and split by about sqrt(machine eps); where
+    they agree to within 1e-7 relative they are reported once, as the W_0
+    root.  The real parts fall along W_0, W_-1, W_1, W_2, ...: a root that
+    reads above the one before it, within rounding, takes the earlier one's.
+    Arguments, the order, Im >= 0 and the residual |G(lambda)| are those
+    of `rightmost_roots`; without a delay the one root is -eta*(a + b).
 
     Raises
     ------
@@ -552,26 +558,20 @@ def lambert_roots(coeffs: TaylorCoefficients, eta: float,
     if not turns < _MAX_BRANCHES:
         raise InvalidSpec(f"root search region {search} spans more than "
                           f"{_MAX_BRANCHES} Lambert-W branches at tau = {tau!r}")
-    A = eta * a
-    a_tau = A * tau
-    if a_tau == math.inf:
+    if eta * a * tau == math.inf:
         raise InvalidSpec(f"eta*a*tau overflows at eta = {eta!r}, a = {a!r}, "
                           f"tau = {tau!r}")
     product, log_bt = _lambert_argument(coeffs, eta)
-    sigma, u2 = _principal_root(coeffs, eta, product, log_bt)
-    lams = [-sigma if u2 is None else complex(-sigma, u2 / tau)]
-    log_mz = log_bt + a_tau
-    if product <= _INV_E:
-        lower = -A + _lambert_w(-1, -product, log_mz).real / tau
-        if abs(lower - lams[0]) >= 1e-7 * (1.0 + abs(lower)):
-            lams.append(lower)
-    # Re lambda_k from |W_k| = eta*b*tau*e^(-tau Re lambda_k), as for W0:
-    # -A + Re W_k/tau would cancel where A*tau is large
-    ws = [_lambert_w(k, -product, log_mz) for k in range(1, int(turns) + 2)]
-    lams += [complex((log_bt - math.log(abs(w))) / tau, w.imag / tau) for w in ws]
-    # the W0 root is the rightmost; it stays first where another branch's
-    # real part, equal to its own within rounding, reads higher
-    lams[1:] = sorted(lams[1:], key=lambda lam: (-lam.real, abs(lam.imag)))
+    ks = [0, -1] if product <= _INV_E else [0]
+    ks += range(1, int(turns) + 2)
+    lams = [-s if u is None else complex(-s, u / tau)
+            for s, u in (_branch_root(coeffs, eta, k, product, log_bt) for k in ks)]
+    if product <= _INV_E and abs(lams[1] - lams[0]) < 1e-7 * (1.0 + abs(lams[1])):
+        del lams[1]  # W0 and W_-1 split from the double root at tau*
+    # Re W_k = log(-z) - log|W_k| falls as |W_k| grows along ks; the cap
+    # moves a root no farther from its exact value than the one before it is
+    for i in range(1, len(lams)):
+        lams[i] = complex(min(lams[i].real, lams[i - 1].real), lams[i].imag)
     return [ComplexRoot(re=lam.real, im=abs(lam.imag),
                         residual=abs(char_value(coeffs, eta, lam)))
             for lam in lams

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .chareq import (_INV_E, _lambert_argument, _lambert_w, _principal_root, _require_gain,
+from .chareq import (_INV_E, _branch_root, _lambert_argument, _lambert_w, _require_gain,
                      stability_verdict)
 from .errors import InvalidSpec
 from .models import TaylorCoefficients, _normal
@@ -116,7 +116,7 @@ def rate_of_convergence(coeffs: TaylorCoefficients, eta: float = 1.0) -> Converg
     # exceeds 1e-8*a*tau, far past the stability limit: the regime is
     # classify_regime's UNSTABLE without W0
     rate, u2 = ((math.inf, None) if a * tau == math.inf
-                else _principal_root(coeffs, eta, *_lambert_argument(coeffs, eta)))
+                else _branch_root(coeffs, eta, 0, *_lambert_argument(coeffs, eta)))
     sigma2, sigma3 = (rate, math.inf) if u2 is None else (math.inf, rate)
     # the regime is decided exactly; a stable model's sigma may underflow to 0
     regime = classify_regime(coeffs, eta)

@@ -288,7 +288,6 @@ class _DelayedPolynomial(ModelSpec):
             raise InvalidSpec(f"tau > 0 required, got tau = {self.tau}")
 
 
-@dataclass(frozen=True)
 class CubicBD(_DelayedPolynomial):
     """Delayed cubic oscillator x' = -(x^3 - mu*x + lam) - k*x(t-tau).
 
@@ -339,7 +338,6 @@ class CubicBD(_DelayedPolynomial):
         )
 
 
-@dataclass(frozen=True)
 class QuadraticBD(_DelayedPolynomial):
     """Delayed quadratic oscillator x' = -(x^2 - mu*x + lam) - k*x(t-tau).
 

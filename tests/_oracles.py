@@ -6,10 +6,14 @@ characteristic roots through the Lambert-W representation
 lambda = -eta*a + W_k(-eta*b*tau*e^(eta*a*tau))/tau, taking the branch with
 the largest real part.  The library must reproduce these, not the other
 way around.  `lambertw_roots` evaluates that representation on every branch
-at test time, with scipy's Lambert W in place of the library's.
+at test time, with scipy's Lambert W in place of the library's;
+`spectral_roots` finds the roots with neither that representation nor the
+library's winding search.
 """
+import cmath
 import math
 
+import numpy as np
 import pytest
 
 # Delayed cubic oscillator, first parameter set: k=9, mu=1, lam=-7, tau=0.187
@@ -90,3 +94,54 @@ def lambertw_roots(coeffs, eta, region):
         if d < 0 and lam.imag >= 0.0:
             inside.append(lam)
     return sorted(inside, key=lambda lam: (-lam.real, lam.imag)), clearance
+
+
+def cheb(n):
+    """Chebyshev differentiation matrix D and nodes x_j = cos(pi j/n),
+    j = 0..n, on [-1, 1] (Trefethen, Spectral Methods in MATLAB, 2000,
+    program cheb)."""
+    x = np.cos(np.pi * np.arange(n + 1) / n)
+    c = np.ones(n + 1)
+    c[0] = c[-1] = 2.0
+    c *= (-1.0) ** np.arange(n + 1)
+    d = np.outer(c, 1.0 / c) / (x[:, None] - x[None, :] + np.eye(n + 1))
+    return d - np.diag(d.sum(axis=1)), x
+
+
+def spectral_roots(coeffs, eta, region):
+    """Every root in region with Im >= 0, rightmost first, from the spectrum
+    of the generator of u' = -A u - B u(t - tau), A = eta*a, B = eta*b.
+
+    The generator is collocated on the N + 1 Chebyshev nodes
+    theta_j = tau (x_j - 1)/2 of [-tau, 0] (Breda, Maset & Vermiglio, SIAM
+    J. Sci. Comput. 27, 2005): the rows of theta < 0 differentiate, and the
+    row of theta = 0 is the equation, -A u(0) - B u(-tau).  Its eigenvalues
+    approach the characteristic roots of modulus up to about N/tau, so N
+    grows with the region; each one is polished by Newton on
+    G(lambda) = lambda + A + B e^(-lambda tau), kept if Newton converges
+    inside the region, and merged with any root already found within 1e-7
+    relative.
+    """
+    A, B, tau = eta * coeffs.a, eta * coeffs.b, coeffs.tau
+    n = int(tau * (region.im_max + max(abs(region.re_min), abs(region.re_max))) / 2.0) + 12
+    m = (2.0 / tau) * cheb(n)[0]
+    m[0] = 0.0
+    m[0, 0], m[0, n] = -A, -B
+    found = []
+    for lam in map(complex, np.linalg.eigvals(m)):
+        try:
+            for _ in range(60):
+                e = cmath.exp(-lam * tau)
+                step = (lam + A + B * e) / (1.0 - B * tau * e)
+                lam -= step
+                if abs(step) <= 1e-15 * (1.0 + abs(lam)):
+                    break
+            else:
+                continue
+        except (OverflowError, ZeroDivisionError):
+            continue
+        lam = complex(lam.real, abs(lam.imag))
+        if (region.re_min <= lam.real <= region.re_max and lam.imag <= region.im_max
+                and all(abs(lam - other) > 1e-7 * (1.0 + abs(lam)) for other in found)):
+            found.append(lam)
+    return sorted(found, key=lambda lam: (-lam.real, lam.imag))

@@ -7,6 +7,7 @@ characteristic roots, evaluated independently before this suite was written
 import cmath
 import dataclasses
 import math
+import random
 import sys
 
 import numpy as np
@@ -48,6 +49,7 @@ from _oracles import (
     ROOT_UNSTABLE,
     ROOT_WRIGHT,
     lambertw_roots,
+    spectral_roots,
 )
 
 
@@ -535,6 +537,59 @@ def test_lambert_roots_refuse_too_many_branches_before_computing_one(
         region = RootSearchRegion(re_min=-1.0, re_max=1.0, im_max=im_max)
         with pytest.raises(InvalidSpec, match="Lambert-W branches"):
             lambert_roots(c, 1.0, search=region)
+
+
+def test_lambert_roots_agree_with_the_spectral_oracle():
+    # same count and each root within 1e-9, against a collocation of the
+    # equation that uses neither the Lambert-W formula nor the winding
+    # search; eta*b*tau in 5..30 puts branches k >= 1 in every region
+    rng = random.Random(25)
+    for i in range(40):
+        a = rng.uniform(0.0, 2.0)
+        b = rng.uniform(a + 0.2, a + 2.5)
+        tau = rng.uniform(0.5, 10.0)
+        eta = rng.uniform(5.0, 30.0) / (b * tau)
+        c = TaylorCoefficients(xi_x=-a, xi_y=-b, tau=tau)
+        region = RootSearchRegion.default_for(c, eta)
+        if i % 2:
+            region = RootSearchRegion(re_min=region.re_min - 2.0, re_max=region.re_max,
+                                      im_max=region.im_max + 4.0 * math.pi / tau)
+        got = [complex(r.re, r.im) for r in lambert_roots(c, eta, search=region)]
+        oracle = spectral_roots(c, eta, region)
+        assert any(lam.imag > 2.0 * math.pi / tau for lam in got)
+        assert len(got) == len(oracle)
+        for lam, ref in zip(got, oracle):
+            assert abs(lam - ref) < 1e-9
+
+
+@pytest.mark.parametrize("xi_x, xi_y, tau, eta, truth", [
+    # eta*a and eta*b underflow to 0, so b*tau does, where the polish would
+    # put every root of k >= 1 at 0; the W0 root, -4.2e-428, rounds to 0
+    (-3.661870674664157e-136, -3.7048406481874635e-136, 1.2522512287635811e228,
+     5.641029739785517e-293,
+     [0j, complex(-3.718891011764751e-226, 5.0283084797777002e-228),
+      complex(-3.7188932053307748e-226, 1.0056612992599433e-227),
+      complex(-3.7188968585848551e-226, 1.5084909580274094e-227),
+      complex(-3.7189019675034493e-226, 2.0113194302091866e-227)]),
+    # b*tau = 1.8e-307: the roots of k >= 1 lie near -2.1e15, below the
+    # region, where their polish would overflow e^nu = |W_k|/(b tau)
+    (-14103479.157313164, -14103479.225651259, 3.369231483744043e-13,
+     3.741772434368804e-302, [complex(-1.0554401933476434e-294, 0.0)]),
+    # eta*b = 6.4e-324 rounds to 4.9e-324, 23% low, and the polish would
+    # solve the equation of that b: W_1's real part would come out 0.7% off
+    (0.0, -1.3, 1e308, 5e-324,
+     [complex(-5e-324, 0.0), complex(-3.864976815551568e-307, 6.448507155461639e-308),
+      complex(-3.8689685318499126e-307, 1.2887920133349372e-307),
+      complex(-3.874954139791117e-307, 1.9311904796402646e-307),
+      complex(-3.882241432068517e-307, 2.5717817286962663e-307)]),
+], ids=["b*tau=0", "e^nu-overflows", "eta*b-subnormal"])
+def test_lambert_roots_where_the_polish_leaves_the_float_range(xi_x, xi_y, tau, eta, truth):
+    # the polish is skipped and the log|W_k| form stands (60-digit Lambert W)
+    c = TaylorCoefficients(xi_x=xi_x, xi_y=xi_y, tau=tau)
+    region = dataclasses.replace(RootSearchRegion.default_for(c, eta),
+                                 im_max=9.0 * math.pi / tau)
+    roots = lambert_roots(c, eta, search=region)
+    assert [complex(r.re, r.im) for r in roots] == pytest.approx(truth, rel=1e-15, abs=0.0)
 
 
 @pytest.mark.parametrize("a, b, tau", [(0.5, 1.3, 1e-310), (0.5, 1.3, 1e-320),

@@ -316,25 +316,66 @@ def test_cone_edge_decay_rate_is_resolved():
 
 def test_cone_edge_roots_keep_their_order():
     # -a + Re W_k(z)/tau would round each real part to a multiple of
-    # 1.2e-10, ulp(a*tau); taken from log|W_k| they keep 1e-14 (80-digit
-    # Lambert W for k = 1, 2 below), and the W0 root, -sigma, comes first
+    # 1.2e-10, ulp(a*tau); from log|W_k| and Newton's polish, as for W0,
+    # they keep 1e-15 relative (80-digit Lambert W for k = 1, 2 below), and
+    # the W0 root, -sigma, comes first
     c = TaylorCoefficients(xi_x=-1e6, xi_y=-1e6 * (1.0 + 1e-13), tau=1.0)
     rep = rate_of_convergence(c)
     roots = lambert_roots(c, 1.0, search=RootSearchRegion(re_min=-1.0, re_max=1.0, im_max=20.0))
     assert (roots[0].re, roots[0].im) == (-rep.sigma, rep.u2 / c.tau)
-    assert ([r.re for r in roots[1:]]
-            == pytest.approx([-4.431320231729340145e-11, -1.2326980064272885848e-10], abs=1e-14))
+    assert [r.re for r in roots[1:]] == pytest.approx(
+        [-4.431320231729340145e-11, -1.2326980064272885848e-10], rel=1e-15, abs=0.0)
 
 
 def test_w0_root_comes_first_where_another_ties_it():
     # unstable: W_1's real part lies 4e-17 below the W0 root's 1e-8
-    # (80-digit Lambert W), under the 3.6e-15 rounding of log(b tau), and
-    # reads 1e-15 above it; the W0 root, the rightmost, still comes first
+    # (80-digit Lambert W), under the 3.6e-15 rounding of log(b tau); the
+    # polish resolves it, and the W0 root comes first
     c = TaylorCoefficients(xi_x=-1e9, xi_y=-1e9 * (1.0 + 1e-8), tau=1.0)
     rep = rate_of_convergence(c)
     roots = lambert_roots(c, 1.0, search=RootSearchRegion(re_min=-1.0, re_max=1.0, im_max=20.0))
     assert (roots[0].re, roots[0].im) == (-rep.sigma3, rep.u2 / c.tau)
-    assert roots[1].re == pytest.approx(9.999999776377492e-09, abs=4e-15)
+    assert roots[1].re == pytest.approx(9.999999776377492e-09, rel=1e-15, abs=0.0)
+
+
+@pytest.mark.parametrize("a, b, tau, truth", [
+    # a*tau = 1e9 and b/a = 1000: the roots grow by 6.9 per delay, too fast
+    # for the polish, and their real parts lie within 1e-16 relative
+    (1e9, 1e12, 1.0, [6.907755272074381798903, 6.907755272074381759425,
+                      6.907755272074381680468, 6.907755272074381562033]),
+    # polished: W_3 lies 1.5 ulp below the W0 root, within the polish's error
+    (2.232831842450292e93, 4.2388735620863656e94, 2.211060826035677e-85,
+     [1.331312079993798283432e85, 1.331312079993798210176e85,
+      1.331312079993798063663e85, 1.331312079993797843894e85]),
+], ids=["unpolished", "polished"])
+def test_w0_root_comes_first_where_rounding_ties_the_branches(a, b, tau, truth):
+    # the branches' real parts lie within rounding of each other: the list
+    # keeps the branch order, W0 first, each real part within 2e-15 of its
+    # own (80-digit Lambert W)
+    c = TaylorCoefficients(xi_x=-a, xi_y=-b, tau=tau)
+    rep = rate_of_convergence(c)
+    rate = abs(rep.sigma3)
+    region = RootSearchRegion(re_min=-2.0 * rate - 1.0, re_max=2.0 * rate + 1.0,
+                              im_max=8.0 * math.pi / tau)
+    roots = lambert_roots(c, 1.0, search=region)
+    assert (roots[0].re, roots[0].im) == (-rep.sigma3, rep.u2 / tau)
+    assert all(later.re <= r.re for r, later in zip(roots, roots[1:]))
+    assert [r.re for r in roots] == pytest.approx(truth, rel=2e-15, abs=0.0)
+
+
+def test_branch_roots_keep_their_order_far_beyond_the_cone():
+    # eta*a*tau = 1.1e95: the real parts of W0, W_1 and W_2 agree to 1e-177
+    # relative (300-digit Lambert W), and log|W_k| alone gives 3.3008e101
+    # for W_1; polished, every branch gives the W0 root's real part
+    a, b = 1.7124749004503559e75, 1.7124749004551365e75
+    c, eta = TaylorCoefficients(xi_x=-a, xi_y=-b, tau=8.524363527688755e-114), 7.77400024462095e132
+    region = replace(RootSearchRegion.default_for(c, eta), im_max=6.0 * math.pi / c.tau)
+    roots = lambert_roots(c, eta, search=region)
+    rep = rate_of_convergence(c, eta)
+    assert (roots[0].re, roots[0].im) == (-rep.sigma3, rep.u2 / c.tau)
+    assert [round(r.im * c.tau / math.pi) for r in roots] == [1, 3, 5]
+    assert all(later.re <= r.re for r, later in zip(roots, roots[1:]))
+    assert roots[1].re == pytest.approx(3.2749141961242651003e101, rel=1e-15)
 
 
 def test_near_cone_edge_root_solves_characteristic_equation():
@@ -372,6 +413,33 @@ def test_lambert_roots_open_with_the_decay_rate_root(log_b, eps, log_eta, ratio)
     region = RootSearchRegion(re_min=-2.0 * rate - 1.0, re_max=1.0, im_max=8.0 * math.pi / c.tau)
     top = lambert_roots(c, eta, search=region)[0]
     assert (top.re, top.im) == (-rate, 0.0 if rep.u2 is None else rep.u2 / c.tau)
+
+
+@given(log_b=st.floats(-300.0, 300.0), log_eps=st.floats(-12.0, math.log10(0.99)),
+       log_eta=st.floats(-300.0, 300.0), log_a_tau=st.floats(7.0, 300.0))
+@example(log_b=12.0, log_eps=-3.0, log_eta=0.0, log_a_tau=9.0)
+@settings(max_examples=150, deadline=None)
+def test_lambert_roots_of_unstable_models_open_with_the_growth_rate_root(
+        log_b, log_eps, log_eta, log_a_tau):
+    # eta*a*tau in 1e7..1e300, where the branches' real parts come within
+    # rounding of the W0 root's, and a/b down to 1e-12, where they grow too
+    # fast for the polish: the first root is still the W0 root,
+    # -sigma3 + i u2/tau, and no real part rises along the list
+    b, eta, eps = 10.0 ** log_b, 10.0 ** log_eta, 10.0 ** log_eps
+    assume(sys.float_info.min <= eta * eps * b and eta * b < math.inf)
+    c = TaylorCoefficients(xi_x=-eps * b, xi_y=-b)
+    tau = 10.0 ** log_a_tau / (eta * c.a)
+    assume(sys.float_info.min <= tau < math.inf)
+    c = replace(c, tau=tau)
+    assume(eta * c.a * tau < math.inf and stability_verdict(c, eta) == "unstable")
+    rep = rate_of_convergence(c, eta)
+    rate = abs(rep.sigma3)
+    assume(2.0 * rate + 1.0 < sys.float_info.max and 8.0 * math.pi / tau < sys.float_info.max)
+    region = RootSearchRegion(re_min=-2.0 * rate - 1.0, re_max=2.0 * rate + 1.0,
+                              im_max=8.0 * math.pi / tau)
+    roots = lambert_roots(c, eta, search=region)
+    assert (roots[0].re, roots[0].im) == (-rep.sigma3, rep.u2 / tau)
+    assert all(later.re <= r.re for r, later in zip(roots, roots[1:]))
 
 
 @given(e=st.integers(-1074, -1023), m=st.floats(1.0, 2.0, exclude_max=True),

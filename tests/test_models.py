@@ -366,6 +366,30 @@ def test_overflowing_k_minus_mu_is_invalid(cls, lam):
         cls(k=1e308, mu=-1e308, lam=lam, tau=1.0)
 
 
+def test_polynomial_oscillators_share_one_set_of_dataclass_methods():
+    # CubicBD and QuadraticBD add no field: _DelayedPolynomial's generated
+    # methods serve both, and equality still tells the classes apart
+    cubic = CubicBD(k=9.0, mu=1.0, lam=-7.0, tau=0.187)
+    quadratic = QuadraticBD(9.0, 1.0, -7.0, 0.187)
+    assert repr(cubic) == "CubicBD(k=9.0, mu=1.0, lam=-7.0, tau=0.187)"
+    assert repr(quadratic) == "QuadraticBD(k=9.0, mu=1.0, lam=-7.0, tau=0.187)"
+    assert cubic == CubicBD(k=9.0, mu=1.0, lam=-7.0, tau=0.187) and cubic != quadratic
+    assert hash(cubic) == hash(CubicBD(k=9.0, mu=1.0, lam=-7.0, tau=0.187))
+    assert [f.name for f in dataclasses.fields(quadratic)] == ["k", "mu", "lam", "tau"]
+    moved = dataclasses.replace(quadratic, tau=1.0)
+    assert type(moved) is QuadraticBD and moved.tau == 1.0
+    for spec in (cubic, quadratic):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            spec.tau = 1.0
+    # the inherited guard covers the fields only, so an attribute of another
+    # name may be set; nothing reads one from the instance: the compiled
+    # field takes the class's expression, and equality the fields
+    shadowed = CubicBD(k=9.0, mu=1.0, lam=-7.0, tau=0.187)
+    shadowed.expression = "x"
+    assert shadowed == cubic
+    assert shadowed.field(1.0)(0.5, 0.25) == cubic.field(1.0)(0.5, 0.25) != 0.5
+
+
 def test_nicholson_rejects_subcritical_birth_rate():
     with pytest.raises(InvalidSpec):
         Nicholson(gamma=1.0, p_rate=2.0, x0_size=1.0, tau=1.0)
