@@ -3,9 +3,9 @@
 The package analyzes delayed systems x'(t) = eta * f(x(t), x(t - tau)):
 equilibria and Taylor coefficients (models), characteristic roots and the
 Hopf point (chareq), closed-form decay rates and oscillation regimes
-(convergence), the first Lyapunov coefficient by two independent routes
-(hopf), and a method-of-steps simulation oracle (ddesim).  The cli module
-exposes all of it behind the ``delaybif`` command.
+(convergence), the first Lyapunov coefficient by two independent routes and
+``analysis``, every layer's answer in one record (hopf), and a method-of-steps
+simulation oracle (ddesim).  The cli module exposes it as ``delaybif``.
 
 Every public name and submodule is loaded on first access, so a program
 pays only for the layers it uses: ``import delaybif`` loads nothing else,

@@ -34,7 +34,6 @@ from .models import (
     Nicholson,
     QuadraticBD,
     TaylorCoefficients,
-    equilibrium,
     taylor_coefficients,
 )
 
@@ -224,33 +223,8 @@ def _write_manifest(outdir: str, command: str, cp, outputs: list) -> None:
 # with it numpy) only where it simulates
 
 def _cmd_analyze(cp, model, outdir: str, fmt: str):
-    from .chareq import critical_eta, stability_verdict
-    from .convergence import rate_of_convergence
-    from .hopf import mu2_center_manifold, mu2_closed_form, nicholson_mu2
-    eq = equilibrium(model)
-    coeffs = taylor_coefficients(model)
-    eta = _get_number(cp, "analysis", "eta", 1.0)
-    hopf_pt = critical_eta(coeffs)
-    conv = rate_of_convergence(coeffs, eta)
-    lyap = mu2_center_manifold(coeffs, hopf_pt)
-    report = {
-        "model": {"variant": model.variant},
-        "equilibrium": eq,
-        "taylor_coefficients": coeffs,
-        "hopf": hopf_pt,
-        "convergence": conv,
-        "lyapunov": lyap,
-        "mu2_closed_form": mu2_closed_form(coeffs),
-        "classification": {
-            "direction": lyap.direction,
-            "cycle_stability": lyap.cycle_stability,
-            "eta": eta,
-            "stability_at_eta": stability_verdict(coeffs, eta),
-        },
-    }
-    if isinstance(model, Nicholson):
-        report["nicholson_mu2"] = nicholson_mu2(model)
-    text = _json_text(report)
+    from .hopf import analysis
+    text = _json_text(analysis(model, _get_number(cp, "analysis", "eta", 1.0)))
     return [_write(outdir, "analyze.json", text)], text
 
 
@@ -258,8 +232,8 @@ def _cmd_sweep(cp, model, outdir: str, fmt: str):
     axis, grid = _grid(cp)
     if axis == "tau":
         from .convergence import sweep_tau
-        coeffs = taylor_coefficients(model)
         eta = _get_number(cp, "analysis", "eta", 1.0)
+        coeffs = taylor_coefficients(model)
         rows = [[tau, rep.sigma, rep.sigma1, rep.sigma2, rep.sigma3, rep.regime.value]
                 for tau, rep in sweep_tau(coeffs, grid, eta)]
         stem, header = "roc_sweep", ["tau", "sigma", "sigma1", "sigma2", "sigma3", "regime"]
@@ -301,13 +275,12 @@ def _cmd_simulate(cp, model, outdir: str, fmt: str):
 
 def _cmd_roots(cp, model, outdir: str, fmt: str):
     from .chareq import RootSearchRegion, lambert_roots
-    coeffs = taylor_coefficients(model)
     eta = _get_number(cp, "roots", "eta",
                        _get_number(cp, "analysis", "eta", 1.0))
-    region = RootSearchRegion.default_for(coeffs, eta)
     overrides = {k: v for k in ("re_min", "re_max", "im_max")
                  if (v := _get_number(cp, "roots", k)) is not None}
-    region = dataclasses.replace(region, **overrides)
+    coeffs = taylor_coefficients(model)
+    region = dataclasses.replace(RootSearchRegion.default_for(coeffs, eta), **overrides)
     rows = [[r.re, r.im, r.residual] for r in lambert_roots(coeffs, eta, region)]
     name = _write_table(outdir, "roots", ["re", "im", "residual"], rows, fmt)
     return [name], "".join(f"{re!r},{im!r},{res!r}\n" for re, im, res in rows)

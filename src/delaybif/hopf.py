@@ -14,6 +14,9 @@ self-coupling) and the two specializations built on them evaluate the
 closed form on a restricted coefficient set.  nicholson_mu2_shape, the
 exponential birth-rate model's shape, is derived by hand, independently of
 the closed form.
+
+analysis gathers all of it, with the equilibrium and the decay rate, into
+the one record the analyze command writes.
 """
 from __future__ import annotations
 
@@ -22,9 +25,10 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .chareq import HopfPoint
+from .chareq import HopfPoint, critical_eta, stability_verdict
 from .errors import DegenerateEpsilon, InvalidSpec
-from .models import Nicholson, TaylorCoefficients, _normal
+from .models import (EquilibriumReport, ModelSpec, Nicholson, TaylorCoefficients, _normal,
+                     equilibrium, taylor_coefficients)
 
 __all__ = [
     "DEGENERACY_THRESHOLD",
@@ -40,6 +44,8 @@ __all__ = [
     "nicholson_mu2",
     "nicholson_mu2_shape",
     "classify",
+    "Analysis",
+    "analysis",
 ]
 
 DEGENERACY_THRESHOLD = 1e-8
@@ -322,3 +328,34 @@ def classify(report: LyapunovReport) -> tuple[Direction, CycleStability]:
     guessing a side.
     """
     return _classify_values(report.mu2, report.beta2)
+
+
+@dataclass(frozen=True)
+class Analysis:
+    """analysis' record, with analyze.json's keys for every model: nicholson_mu2
+    is None for a model without its own mu2 route.  The rightmost root is
+    convergence's: -sigma2 below tau*, -sigma3 + i*u2/tau above it."""
+
+    model: dict
+    equilibrium: EquilibriumReport
+    taylor_coefficients: TaylorCoefficients
+    hopf: HopfPoint
+    convergence: ConvergenceReport  # from convergence, which analysis loads
+    lyapunov: LyapunovReport
+    mu2_closed_form: float
+    nicholson_mu2: float | None
+    classification: dict
+
+
+def analysis(spec: ModelSpec, eta: float = 1.0) -> Analysis:
+    """Every layer's answer for spec at gain eta, the layers called in the
+    order of the fields: the first that fails raises its DelayBifError."""
+    from .convergence import rate_of_convergence
+    eq, coeffs = equilibrium(spec), taylor_coefficients(spec)
+    hopf = critical_eta(coeffs)
+    conv, lyap = rate_of_convergence(coeffs, eta), mu2_center_manifold(coeffs, hopf)
+    return Analysis(
+        {"variant": spec.variant}, eq, coeffs, hopf, conv, lyap, mu2_closed_form(coeffs),
+        classification={"direction": lyap.direction, "cycle_stability": lyap.cycle_stability,
+                         "eta": eta, "stability_at_eta": stability_verdict(coeffs, eta)},
+        nicholson_mu2=nicholson_mu2(spec) if isinstance(spec, Nicholson) else None)

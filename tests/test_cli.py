@@ -85,6 +85,7 @@ def test_analyze_report(tmp_path, capsys):
     assert report["classification"]["direction"] == "Supercritical"
     assert report["classification"]["stability_at_eta"] == "stable"
     assert report["convergence"]["regime"] == "OscillatoryStable"
+    assert report["nicholson_mu2"] is None
     assert (out / "analyze.json").read_text() == stdout
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["outputs"] == ["analyze.json"]
@@ -518,6 +519,20 @@ def test_unparsable_number_is_a_config_error(tmp_path, capsys, command, ini, mes
     assert err == f"config error: {message}\n"
 
 
+@pytest.mark.parametrize("command, sweep", [
+    ("analyze", ""), ("roots", ""),
+    ("sweep", "[sweep]\naxis = tau\nstart = 0.01\nstop = 0.1\ncount = 2\n"),
+], ids=["analyze", "roots", "tau"])
+def test_config_is_read_before_the_model_is_analyzed(tmp_path, capsys, command, sweep):
+    # the model has no real equilibrium and eta is no number: the config
+    # error comes first, for every command that reads eta
+    ini = ("[model]\nvariant = quadratic\nk = 1\nmu = 0.5\nlam = 10\ntau = 1\n"
+           "[analysis]\neta = abc\n" + sweep)
+    code, stdout, err, _ = _run(tmp_path, capsys, command, ini=ini)
+    assert (code, stdout) == (2, "")
+    assert err == "config error: [analysis] eta = 'abc' is not a number\n"
+
+
 def test_unparsable_config_file_exits_2(tmp_path, capsys):
     code, stdout, err, _ = _run(tmp_path, capsys, "analyze", ini="[model\nvariant = cubic\n")
     assert code == 2
@@ -702,6 +717,12 @@ def _probe_commands(tmp_path, order):
     return result["loaded"]
 
 
+def _added(loaded, order):
+    """The delaybif modules each run of order loaded first."""
+    return {step: sorted(set(loaded[step]["delaybif"]) - set(loaded[before]["delaybif"]))
+            for before, step in zip(["import", *order], order)}
+
+
 def test_analysis_commands_do_not_import_numpy(tmp_path):
     loaded = _probe_commands(
         tmp_path, ["analyze", "tau", "epsilon", "roots", "simulate", "eta"])
@@ -719,14 +740,20 @@ def test_each_command_loads_only_its_layers(tmp_path):
     assert loaded["start"]["delaybif"] == []
     assert loaded["import"]["delaybif"] == [
         "delaybif", "delaybif.cli", "delaybif.errors", "delaybif.models"]
-    added = {step: sorted(set(loaded[step]["delaybif"]) - set(loaded[before]["delaybif"]))
-             for before, step in zip(["import", *order], order)}
-    assert added == {"simulate": ["delaybif.ddesim"],
-                     "roots": ["delaybif.chareq"],
-                     "tau": ["delaybif.convergence"],
-                     "epsilon": ["delaybif.hopf"],
-                     "analyze": [],
-                     "eta": []}
+    assert _added(loaded, order) == {"simulate": ["delaybif.ddesim"],
+                                     "roots": ["delaybif.chareq"],
+                                     "tau": ["delaybif.convergence"],
+                                     "epsilon": ["delaybif.hopf"],
+                                     "analyze": [],
+                                     "eta": []}
+
+
+def test_analyze_loads_convergence_itself(tmp_path):
+    # the epsilon sweep loads hopf without convergence, which analysis
+    # imports when it runs: so analyze after it adds convergence alone
+    order = ["epsilon", "analyze"]
+    assert _added(_probe_commands(tmp_path, order), order) == {
+        "epsilon": ["delaybif.chareq", "delaybif.hopf"], "analyze": ["delaybif.convergence"]}
 
 
 _PACKAGE_PROBE = textwrap.dedent("""\

@@ -311,7 +311,7 @@ def test_cone_edge_decay_rate_is_resolved():
     rep = rate_of_convergence(c)
     assert stability_verdict(c, 1.0) == "stable"
     assert rep.regime is Regime.OSCILLATORY_STABLE
-    assert rep.sigma == pytest.approx(4.8349031499000755e-12, rel=1e-9)
+    assert rep.sigma == pytest.approx(4.8349031499000755e-12, rel=1e-9, abs=0.0)
 
 
 def test_cone_edge_roots_keep_their_order():
@@ -480,8 +480,8 @@ def test_fast_growth_rate_is_not_polished_away():
     # a polish would cost 1e-12 that log W0 keeps (50-digit Lambert W)
     c = TaylorCoefficients(xi_x=0.0, xi_y=-1.0, tau=1e6)
     rep = rate_of_convergence(c)
-    assert rep.sigma3 == pytest.approx(-1.13544677771688590841e-05, rel=1e-15)
-    assert rep.u2 == pytest.approx(2.892179148994875245017, rel=1e-15)
+    assert rep.sigma3 == pytest.approx(-1.13544677771688590841e-05, rel=1e-15, abs=0.0)
+    assert rep.u2 == pytest.approx(2.892179148994875245017, rel=1e-15, abs=0.0)
 
 
 @pytest.mark.parametrize("coeffs, eta", [

@@ -15,16 +15,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from delaybif import (
+    Analysis,
+    CubicBD,
     CycleStability,
     DegenerateEpsilon,
     Direction,
+    Generic,
     HopfPoint,
     InvalidSpec,
     Nicholson,
     QuadraticBD,
     TaylorCoefficients,
+    analysis,
     classify,
     critical_eta,
+    equilibrium,
     g_tilde,
     h_tilde,
     mu2_center_manifold,
@@ -33,6 +38,8 @@ from delaybif import (
     mu2_quadratic_specialization,
     nicholson_mu2,
     nicholson_mu2_shape,
+    rate_of_convergence,
+    stability_verdict,
     taylor_coefficients,
 )
 
@@ -304,3 +311,46 @@ def test_classify_degenerate(ex1_coeffs):
     rep = mu2_center_manifold(ex1_coeffs, critical_eta(ex1_coeffs))
     flat = replace(rep, mu2=1e-9, beta2=0.0)
     assert classify(flat) == (Direction.DEGENERATE, CycleStability.DEGENERATE)
+
+
+# --- the analysis record ---------------------------------------------------
+
+_RECORD_SPECS = {
+    "readme": CubicBD(k=9.0, mu=1.0, lam=-7.0, tau=0.187),
+    "second-set": CubicBD(k=4.75, mu=1.0, lam=-7.0, tau=1.0),
+    "nicholson": Nicholson(gamma=1.0, p_rate=50.0, x0_size=1.0, tau=1.0),
+    "quadratic": QuadraticBD(k=3.0, mu=1.0, lam=-2.0, tau=1.0),
+    "generic": Generic(TaylorCoefficients(xi_x=-0.5, xi_y=-2.0, xi_xx=0.3, xi_yy=0.1,
+                                          xi_xxx=-1.0, xi_xyy=0.2, tau=1.0)),
+}
+
+
+# eta = 0.01 decays without oscillating, 0.9 oscillates or grows, 1.5 grows;
+# nicholson_mu2 is Nicholson's own route, and None for every other model
+@pytest.mark.parametrize("eta", [0.01, 0.9, 1.5])
+@pytest.mark.parametrize("name", _RECORD_SPECS)
+def test_analysis_is_the_layer_calls(name, eta):
+    spec = _RECORD_SPECS[name]
+    coeffs = taylor_coefficients(spec)
+    hopf = critical_eta(coeffs)
+    lyap = mu2_center_manifold(coeffs, hopf)
+    assert analysis(spec, eta) == Analysis(
+        model={"variant": spec.variant}, equilibrium=equilibrium(spec),
+        taylor_coefficients=coeffs, hopf=hopf, convergence=rate_of_convergence(coeffs, eta),
+        lyapunov=lyap, mu2_closed_form=mu2_closed_form(coeffs),
+        nicholson_mu2=nicholson_mu2(spec) if name == "nicholson" else None,
+        classification={"direction": lyap.direction, "cycle_stability": lyap.cycle_stability,
+                        "eta": eta, "stability_at_eta": stability_verdict(coeffs, eta)})
+
+
+def test_analysis_raises_what_critical_eta_raises():
+    # theta/(tau*s) is about 3.7e-324, a subnormal eta_c
+    spec = Generic(TaylorCoefficients(xi_x=-2.3639950806725393e+227,
+                                      xi_y=-3.724565895976643e+227,
+                                      tau=2.0272313340593294e+96))
+    with pytest.raises(InvalidSpec) as direct:
+        critical_eta(taylor_coefficients(spec))
+    with pytest.raises(InvalidSpec) as record:
+        analysis(spec)
+    assert str(record.value) == str(direct.value) == \
+        "eta_c = 5e-324 is outside the normal float range"
