@@ -275,8 +275,9 @@ def _cmd_simulate(cp, model, outdir: str, fmt: str):
 
 def _cmd_roots(cp, model, outdir: str, fmt: str):
     from .chareq import RootSearchRegion, lambert_roots
-    eta = _get_number(cp, "roots", "eta",
-                       _get_number(cp, "analysis", "eta", 1.0))
+    eta = _get_number(cp, "roots", "eta")
+    if eta is None:
+        eta = _get_number(cp, "analysis", "eta", 1.0)
     overrides = {k: v for k in ("re_min", "re_max", "im_max")
                  if (v := _get_number(cp, "roots", k)) is not None}
     coeffs = taylor_coefficients(model)

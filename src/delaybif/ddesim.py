@@ -126,8 +126,13 @@ def integrate(spec: ModelSpec, config: SimConfig) -> Trajectory:
     node i-m+1 of the stored history, stages k2 and k3 the midpoint of
     [i-m, i-m+1], where the cubic Hermite interpolant through the samples
     and their derivatives is 0.5*(x_j + x_j+1) + dt/8*(f_j - f_j+1).  Each
-    midpoint is built once, when node j+1 lands, and each delay reads its
-    midpoints and nodes from slices taken before it starts.
+    midpoint is built once, when node j+1 lands, into a buffer of the
+    delay's m midpoints, and lives until the next delay has read it; each
+    delay reads the previous delay's buffer, and its nodes from a slice
+    taken before it starts.  So a run holds one float per sample: about
+    40 bytes a sample at its peak, the kernel's list of samples and the
+    array it is copied to, and the list goes before the tail is filled and
+    the times are built.
     The loop is spec.rk4, one call per run: the model's compiled kernel,
     eta * f inlined at every stage.  History on [-tau, 0] is config.x_init.
     After each delay the kernel looks for a periodic tail.  Step i + 1
@@ -187,6 +192,7 @@ def integrate(spec: ModelSpec, config: SimConfig) -> Trajectory:
             f"t_end = {config.t_end:.6g} takes {n} steps of dt = {dt:.6g}: "
             "more samples than memory holds") from None
     values = np.fromiter(xs, float, i + 1)
+    del xs  # the samples live on in values alone
     if p:  # the run stopped on a tail of period p: lay copies of it end to end
         values.resize(n + 1, refcheck=False)
         tail = values[i + 1 - p:i + 1]
@@ -296,6 +302,8 @@ def sweep_bifurcation(spec: ModelSpec, eta_grid: Sequence[float],
     grid point.  With continue_history the final state of each run seeds
     the (constant) initial history of the next, which lets a subcritical
     branch keep its large cycle below the linear stability boundary.
+    The sweep holds one run at a time: each trajectory goes before the
+    next run starts, so a sweep peaks where one integrate does.
     Divergence propagates to the caller.
     """
     grid = [float(g) for g in eta_grid]
@@ -312,4 +320,5 @@ def sweep_bifurcation(spec: ModelSpec, eta_grid: Sequence[float],
         out.append((eta, m.amplitude, m.period, m.verdict))
         if continue_history:
             x_init = float(traj.values[-1])
+        del traj  # one run at a time: this one goes before the next starts
     return out

@@ -132,11 +132,14 @@ class ModelSpec:
     stage, its delay-only terms evaluated once per delayed value, each
     Hermite midpoint of the history built once, when its right node lands
     (x_init throughout the first delay, where the history is constant),
-    and a stop where the run's tail has become periodic, bit for bit, as
-    ddesim.integrate states.  eta and the constants are arguments, never
-    source.  Write f Horner in x and group its x-free part, as the
-    built-in models do: the kernel then takes that part as one term per
-    delayed value, and each stage costs two operations per degree in x.
+    and kept only until the next delay has read it, so a run holds one
+    float per sample, about 40 bytes a sample at its peak with the array
+    integrate copies them to, and a stop where the run's tail has become
+    periodic, bit for bit, as ddesim.integrate states.  eta and the
+    constants are arguments, never source.  Write f Horner in x and group
+    its x-free part, as the built-in models do: the kernel then takes that
+    part as one term per delayed value, and each stage costs two
+    operations per degree in x.
     Module-level functions of the same names check for a ModelSpec once
     and delegate.
     """
@@ -169,10 +172,12 @@ def field(eta, *, {params}exp=exp):
     return lambda x, y: eta * ({expression})
 
 def kernel(_x0, _n, _m, _dt, eta, _limit, *, {params}exp=exp):
-    # _ys[j]: the cubic Hermite midpoint of [t_j-1, t_j] (slot 0 unused),
-    # built once when node j lands, from both nodes, _k1 and _fn, f at the
-    # new node; step _i writes _xs[_i] and _ys[_i]
-    _xs, _ys = [_x0] * (_n + 1), [0.0] * (_n + 1)
+    # _new: this delay's cubic Hermite midpoints, that of [t_j-1, t_j] built
+    # once when node j lands, from both nodes, _k1 and _fn, f at the new
+    # node; _mids: the previous delay's, the ones this delay reads.  A
+    # midpoint lives until the next delay has read it, so a run holds one
+    # float per sample, _xs, and m midpoints.  Step _i writes _xs[_i]
+    _xs = [_x0] * (_n + 1)
     _half, _sixth, _eighth, _floor = 0.5 * _dt, _dt / 6.0, 0.125 * _dt, -_limit
     x = y = _x = _x0
     _i = 1
@@ -182,10 +187,10 @@ def kernel(_x0, _n, _m, _dt, eta, _limit, *, {params}exp=exp):
         for _start in range(0, _n, _m):
             _end = min(_start + _m, _n)
             if _start:
-                _lag = slice(_start - _m + 1, _end - _m + 1)
-                _mids, _nodes = _ys[_lag], _xs[_lag]
+                _mids, _nodes = _new, _xs[_start - _m + 1:_end - _m + 1]
             else:  # the constant history: f' = 0, so its midpoints are _x0 too
                 _mids = _nodes = [_x0] * _end
+            _new = []
             for _i, y, _y_node in zip(range(_start + 1, _end + 1), _mids, _nodes):
                 {d}
                 x = _x + _half * _k1
@@ -201,7 +206,7 @@ def kernel(_x0, _n, _m, _dt, eta, _limit, *, {params}exp=exp):
                     return _xs, _i - 1, 0
                 _xs[_i] = x
                 _fn = eta * ({f})
-                _ys[_i] = 0.5 * (_x + x) + _eighth * (_k1 - _fn)
+                _new.append(0.5 * (_x + x) + _eighth * (_k1 - _fn))
                 _x, _k1 = x, _fn
             # step _i + 1 reads only samples _lo .. _i and values computed
             # from them; if those equal the samples p steps earlier, it reads

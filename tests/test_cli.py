@@ -360,6 +360,19 @@ def test_roots_region_override(tmp_path, capsys):
     assert len(lines) >= 3
 
 
+def test_roots_eta_leaves_the_analysis_eta_unread(tmp_path, capsys):
+    # [analysis] eta is only the fallback of roots: set [roots] eta, and an
+    # unparsable one is an error for analyze alone
+    ini = (CUBIC_INI.replace("[analysis]\neta = 1.0", "[analysis]\neta = abc")
+           + "[roots]\neta = 1.0\n")
+    code, stdout, err, out = _run(tmp_path, capsys, "roots", ini=ini)
+    assert (code, err) == (0, "")
+    assert stdout and (out / "roots.csv").exists()
+    code, _, err, _ = _run(tmp_path, capsys, "analyze", ini=ini, sub="analyze")
+    assert code == 2
+    assert err == "config error: [analysis] eta = 'abc' is not a number\n"
+
+
 def test_roots_overflowing_search_exits_cleanly(tmp_path, capsys):
     # at tau = 50, 151 roots 2*pi/tau apart fill the default region
     ini = CUBIC_INI.replace("tau = 0.187", "tau = 50.0")

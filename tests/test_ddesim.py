@@ -5,6 +5,7 @@ x'(t) = -x(t - 1) with constant unit history, for which RK4 plus the
 node-and-midpoint Hermite stencil commits no truncation error at all.
 """
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -274,3 +275,43 @@ def test_sweep_amplitudes_grow_past_onset(ex1_spec):
     assert all(r[3] is Verdict.LIMIT_CYCLE for r in rows)
     amps = [r[1] for r in rows]
     assert amps[0] < amps[1] < amps[2]
+
+
+# --- memory ----------------------------------------------------------------
+
+# CubicBD(4.75, 1, -7, 1) at eta 1.03 to 1.05 from x_init 3 runs on a large
+# cycle, so 100,000 steps of dt = 0.01 run to the end without a periodic stop
+_BIG_CYCLE = CubicBD(4.75, 1.0, -7.0, 1.0)
+_LONG_RUN = SimConfig(eta=1.05, x_init=3.0, t_end=1000.0)
+_SAMPLES = 100_001
+
+
+def _peak_bytes_per_sample(run):
+    # a short run compiles the kernel outside the measurement
+    integrate(_BIG_CYCLE, SimConfig(eta=1.05, x_init=3.0, t_end=50.0))
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / _SAMPLES
+
+
+def test_integrate_holds_each_sample_once():
+    # the samples' floats and their list, then the array they are copied
+    # to: 40 bytes; a midpoint per sample would add 32, and the list kept
+    # while the times are built 8
+    def run():
+        assert len(integrate(_BIG_CYCLE, _LONG_RUN).values) == _SAMPLES
+    assert _peak_bytes_per_sample(run) <= 44.0
+
+
+def test_sweep_holds_one_run_at_a_time():
+    # the trajectory of the run before, kept while the next one runs,
+    # would add its 16 bytes of times and values
+    def run():
+        rows = sweep_bifurcation(_BIG_CYCLE, [1.03, 1.04, 1.05], _LONG_RUN,
+                                 continue_history=True)
+        assert [r[3] for r in rows] == [Verdict.LIMIT_CYCLE] * 3
+    assert _peak_bytes_per_sample(run) <= 44.0
