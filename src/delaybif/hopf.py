@@ -12,8 +12,9 @@ Models with a single nonlinear argument are expressed through shape
 functions of epsilon alone.  g_tilde and h_tilde (quadratic and cubic
 self-coupling) and the two specializations built on them evaluate the
 closed form on a restricted coefficient set.  nicholson_mu2_shape, the
-exponential birth-rate model's shape, is derived by hand, independently of
-the closed form.
+exponential birth-rate model's shape, is derived by hand from that model's
+factorial-normalized expansion (xi_yy = f''/2, xi_yyy = f'''/6, as
+models.taylor_coefficients gives them), independently of the closed form.
 
 analysis gathers all of it, with the equilibrium and the decay rate, into
 the one record the analyze command writes.
@@ -24,6 +25,8 @@ import cmath
 import enum
 import math
 from dataclasses import dataclass
+
+import delaybif
 
 from .chareq import HopfPoint, critical_eta, stability_verdict
 from .errors import DegenerateEpsilon, InvalidSpec
@@ -279,7 +282,12 @@ def nicholson_mu2_shape(epsilon: float, x0_size: float = 1.0) -> float:
 
     The fully simplified form, a function of epsilon alone up to the
     1/x0^2 prefactor that carries the population scale (and therefore
-    never changes the sign).
+    never changes the sign).  It is derived by hand from the model's
+    expansion about N* = x0 q, q = ln(p_rate/gamma): b = gamma(q - 1),
+    a = gamma, so q = 1 + 1/e, xi_yy = gamma(q - 2)/(2 x0) =
+    gamma(1 - e)/(2 e x0) and xi_yyy = gamma(3 - q)/(6 x0^2) =
+    gamma(2e - 1)/(6 e x0^2); gamma cancels.  The first term is the
+    quadratic coupling, the second the cubic one.
 
     Raises
     ------
@@ -289,12 +297,12 @@ def nicholson_mu2_shape(epsilon: float, x0_size: float = 1.0) -> float:
     eps = epsilon
     cone = TaylorCoefficients(xi_x=-_checked_epsilon(eps), xi_y=-1.0)
     one_e2, ck, ht = cone.one_minus_e2, cone.r, cone.theta
-    first = ((1 - eps) / ((1 + eps) ** 2 * ht * (5 - 4 * eps))
-             * (ck * (-8 * eps**3 - 8 * eps**2 + 26 * eps - 4)
-                + ht * (-4 * eps**2 - 12 * eps + 22)))
-    second = ((2 * eps - 1) / (one_e2 * ht)
-              * (3 * eps * ck + 3 * ht))
-    return _normal((first + second) / _normal(x0_size * x0_size, name="x0_size squared"))
+    quadratic = ((1 - eps) / ((1 + eps) ** 2 * (5 - 4 * eps))
+                 * (ck * (-4 * eps**3 - 4 * eps**2 + 13 * eps - 2)
+                    + ht * (-2 * eps**2 - 6 * eps + 11)))
+    cubic = (2 * eps - 1) / one_e2 * (eps * ck + ht)
+    return _normal((quadratic + cubic) / (2 * ht)
+                   / _normal(x0_size * x0_size, name="x0_size squared"))
 
 
 def nicholson_mu2(spec: Nicholson) -> float:
@@ -340,7 +348,8 @@ class Analysis:
     equilibrium: EquilibriumReport
     taylor_coefficients: TaylorCoefficients
     hopf: HopfPoint
-    convergence: ConvergenceReport  # from convergence, which analysis loads
+    # through the package, which loads convergence when the hint is resolved
+    convergence: delaybif.convergence.ConvergenceReport
     lyapunov: LyapunovReport
     mu2_closed_form: float
     nicholson_mu2: float | None

@@ -122,12 +122,13 @@ class ModelSpec:
     """Base of every model variant: the one place a model's maths lives.
 
     A variant supplies ``variant`` (its name in configs), ``tau``,
-    ``equilibrium()``, ``taylor_coefficients()`` and the class attribute
-    ``expression``: Python source for f(x, y) without the gain, in the state
-    ``x``, the delayed state ``y``, ``exp`` and named constants, none named
-    ``eta`` or starting with "_".  ``constants()`` gives their values, by
-    default the model's attributes of those names.  Compiled once per class,
-    the expression gives ``field(eta)``, the closure ``f(x, x_delayed)`` of
+    ``equilibrium()`` and the class attribute ``expression``: Python source
+    for f(x, y) without the gain, in the state ``x``, the delayed state
+    ``y``, ``exp`` and named constants, none named ``eta`` or starting with
+    "_".  ``constants()`` gives their values, by default the model's
+    attributes of those names.  Compiled once per class, the expression
+    gives ``taylor_coefficients()``, from one run of it on truncated Taylor
+    series (see _expansion), ``field(eta)``, the closure ``f(x, x_delayed)`` of
     eta times f, and the RK4 kernel run by ``rk4``, with f inlined at every
     stage, its delay-only terms evaluated once per delayed value, each
     Hermite midpoint of the history built once, when its right node lands
@@ -160,6 +161,13 @@ class ModelSpec:
     def rhs(self, x: float, x_delayed: float, eta: float) -> float:
         """eta * f(x, x_delayed), through a field bound for this one call."""
         return self.field(eta)(x, x_delayed)
+
+    def taylor_coefficients(self) -> TaylorCoefficients:
+        """The expansion of f about the equilibrium, from the expression (see
+        _expansion); InvalidSpec names a term that leaves the normal float
+        range."""
+        return TaylorCoefficients(
+            *_expansion(type(self))(self.equilibrium().x_e, **self.constants()), self.tau)
 
 
 # the field and the integrator loop of ddesim.integrate, with eta * f
@@ -257,9 +265,11 @@ class _DelayTerms(ast.NodeTransformer):
 
 @functools.cache
 def _compiled(cls) -> tuple:
-    """(constant names, field, kernel) of a model class."""
-    names = compile(cls.expression, f"<{cls.__name__}.expression>", "eval").co_names
-    params = tuple(name for name in dict.fromkeys(names) if name not in ("x", "y", "exp"))
+    """(constant names, field, kernel, code object of the expression) of a
+    model class."""
+    code = compile(cls.expression, f"<{cls.__name__}.expression>", "eval")
+    params = tuple(name for name in dict.fromkeys(code.co_names)
+                   if name not in ("x", "y", "exp"))
     if any(name == "eta" or name.startswith("_") for name in params):
         raise InvalidSpec(f"{cls.__name__}.expression names a reserved constant: {params}")
     delay = _DelayTerms()
@@ -268,7 +278,128 @@ def _compiled(cls) -> tuple:
     scope = {"exp": math.exp}
     exec(_TEMPLATE.format(expression=cls.expression, f=f, d=d,
                           params="".join(p + ", " for p in params)), scope)
-    return params, scope["field"], scope["kernel"]
+    return params, scope["field"], scope["kernel"], code
+
+
+# the key 17i + 20j of the monomial u^i v^j of a jet, for each coefficient:
+# keys add as monomials multiply, and every monomial of degree 4 or more has
+# a key of 64 or more
+_TERMS = {17: "xi_x", 20: "xi_y", 34: "xi_xx", 37: "xi_xy", 40: "xi_yy",
+          51: "xi_xxx", 54: "xi_xxy", 57: "xi_xyy", 60: "xi_yyy"}
+
+
+class _Jet(dict):
+    """A polynomial of total degree at most 3 in u = x - x_e and v = y - x_e,
+    products truncated to that degree: the name of each coefficient in
+    straight-line source, by the key of its monomial (see _TERMS; 0 is the
+    constant).  Every operation appends its lines to ``lines``, shared by
+    the jets of one expression.  Each term but the constant of a product
+    or quotient, and of the result, must come out finite and normal, or a
+    zero no product of nonzero factors underflowed to, or the source raises
+    InvalidSpec naming it.  A product that underflows into a normal sum
+    has cost it less than its last bit, and a sum that lands below the
+    normal range is exact, so no other term needs a check."""
+
+    __slots__ = ("lines",)
+
+    def _jet(self, terms) -> _Jet:
+        jet = _Jet(terms)
+        jet.lines = self.lines
+        return jet
+
+    def _let(self, source: str) -> str:
+        name = f"_t{len(self.lines)}"
+        self.lines.append(f"{name} = {source}")
+        return name
+
+    def _check(self, name: str, key: int, underflow: str) -> None:
+        """InvalidSpec where the term is not finite and normal, unless it is
+        a zero and the source underflow is false."""
+        self.lines.append(f"if not _MIN <= abs({name}) < _INF and ({name} or {underflow}): "
+                          f"_normal({name}, name={_TERMS[key]!r})")
+
+    def _scalar(self, other) -> _Jet:
+        return other if isinstance(other, _Jet) else self._jet({0: repr(other)})
+
+    def __add__(self, other):
+        terms = dict(self)
+        for key, c in self._scalar(other).items():
+            terms[key] = self._let(f"{terms[key]} + {c}") if key in terms else c
+        return self._jet(terms)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return self._jet({key: self._let(f"-{c}") for key, c in self.items()})
+
+    # a - b rounds as a + (-b)
+    def __sub__(self, other):
+        return self + -other
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        terms, underflows = {}, {}
+        for p, a in self.items():
+            for q, b in self._scalar(other).items():
+                if p + q < 64:
+                    ab = self._let(f"{a} * {b}")
+                    terms[p + q] = self._let(f"{terms[p + q]} + {ab}") if p + q in terms else ab
+                    underflows.setdefault(p + q, []).append(f"{a} and {b} and abs({ab}) < _MIN")
+        for key, name in terms.items():
+            if key:
+                self._check(name, key, " or ".join(underflows[key]))
+        return self._jet(terms)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        other = self._scalar(other)
+        if set(other) != {0}:
+            return NotImplemented  # division by a constant only
+        terms = {key: self._let(f"{c} / {other[0]}") for key, c in self.items()}
+        for key, name in terms.items():
+            if key:
+                self._check(name, key, self[key])
+        return self._jet(terms)
+
+
+def _exp(z: _Jet) -> _Jet:
+    """e^c (1 + n + n^2/2 + n^3/6) of the jet z = c + n, c its constant."""
+    n = z._jet(z)
+    c = n.pop(0, "0.0")
+    e = z._jet({0: z._let(f"_normal_exp({c})")})
+    n2 = n * n
+    return e + n * e + n2 * (e * 0.5) + n2 * n * (e / 6.0)
+
+
+def _normal_exp(c: float) -> float:
+    try:
+        e = math.exp(c)
+    except OverflowError:
+        e = math.inf
+    return _normal(e, name=f"exp({c!r})")
+
+
+@functools.cache
+def _expansion(cls):
+    """The function of x_e and the constants that gives the nine Taylor
+    coefficients of a model class: its expression, evaluated once on the
+    jets x_e + u and x_e + v, with each constant a jet of its own name."""
+    params, _, _, code = _compiled(cls)
+    root = _Jet()
+    root.lines = lines = []
+    f = eval(code, {**{name: root._jet({0: name}) for name in params}, "exp": _exp,
+                    "x": root._jet({0: "_x_e", 17: "1.0"}), "y": root._jet({0: "_x_e", 20: "1.0"})})
+    for key, c in f.items():
+        if key:
+            f._check(c, key, "False")
+    lines.append(f"return ({', '.join(f.get(key, '0.0') for key in _TERMS)})")
+    scope = {"_MIN": sys.float_info.min, "_INF": math.inf, "_normal": _normal,
+             "_normal_exp": _normal_exp}
+    exec(f"def expansion(_x_e, {', '.join(params)}):\n    " + "\n    ".join(lines), scope)
+    return scope["expansion"]
 
 
 @dataclass(frozen=True)
@@ -332,16 +463,6 @@ class CubicBD(_DelayedPolynomial):
         x = math.ldexp(y, -n)
         return EquilibriumReport(x_e=x + 0.0, residual=abs(x * x * x + c1 * x + lam))
 
-    def taylor_coefficients(self) -> TaylorCoefficients:
-        x_e = self.equilibrium().x_e
-        return TaylorCoefficients(
-            xi_x=-(3.0 * x_e * x_e - self.mu),
-            xi_y=-self.k,
-            xi_xx=-3.0 * x_e,
-            xi_xxx=-1.0,
-            tau=self.tau,
-        )
-
 
 class QuadraticBD(_DelayedPolynomial):
     """Delayed quadratic oscillator x' = -(x^2 - mu*x + lam) - k*x(t-tau).
@@ -364,15 +485,6 @@ class QuadraticBD(_DelayedPolynomial):
         raise InvariantViolation(
             "neither quadratic equilibrium satisfies 0 <= a < b; "
             "the model is outside the analyzable cone")
-
-    def taylor_coefficients(self) -> TaylorCoefficients:
-        x_e = self.equilibrium().x_e
-        return TaylorCoefficients(
-            xi_x=-(2.0 * x_e - self.mu),
-            xi_y=-self.k,
-            xi_xx=-1.0,
-            tau=self.tau,
-        )
 
 
 @dataclass(frozen=True)
@@ -407,19 +519,6 @@ class Nicholson(ModelSpec):
         x = self.x0_size * math.log(self.p_rate / self.gamma)
         res = abs(-self.gamma * x + self.p_rate * x * math.exp(-x / self.x0_size))
         return EquilibriumReport(x_e=x, residual=res)
-
-    def taylor_coefficients(self) -> TaylorCoefficients:
-        """The expansion about N*; InvalidSpec where x0_size squared, or a
-        coefficient that is not exactly zero, leaves the normal float range."""
-        q = math.log(self.p_rate / self.gamma)
-        size2 = _normal(self.x0_size * self.x0_size, name="x0_size squared")
-        return TaylorCoefficients(
-            xi_x=-self.gamma,
-            xi_y=-self.gamma * (q - 1.0),
-            xi_yy=_normal(-(self.gamma / self.x0_size) * (2.0 - q), q == 2.0, "xi_yy"),
-            xi_yyy=_normal(self.gamma / size2 * (3.0 - q), q == 3.0, "xi_yyy"),
-            tau=self.tau,
-        )
 
 
 @dataclass(frozen=True)

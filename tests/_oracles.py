@@ -58,11 +58,16 @@ ROOT_UNSTABLE = (0.2171666436825234, 1.0787558829427432)   # a=0.5 b=2 tau=2 eta
 WRIGHT_SIGMA = 0.31813150520476414
 WRIGHT_U2 = 1.3372357014306894
 
-# Exponential birth-rate model mu2 at x0=1 for chosen epsilon
+# Exponential birth-rate model mu2 at x0=1 for chosen epsilon, at 40 digits:
+# f'' and f''' of p y e^(-y) - x by numerical differentiation at N* = q,
+# gamma = x0 = 1, halved and divided by 6 (xi_yy = f''/2, xi_yyy = f'''/6),
+# then the general closed form's quadratic and cubic braces.  The same
+# computation with the unscaled f'' and f''' gives this table's earlier
+# values, 0.54877341435118619, 1.2948874095850418 and 6.3606494059489201
 NICHOLSON_MU2 = {
-    0.2: 0.54877341435118619,
-    0.5: 1.2948874095850418,
-    0.8: 6.3606494059489201,
+    0.2: 0.31072098155190366,
+    0.5: 0.32372185239626045,
+    0.8: 1.0934345675982593,
 }
 
 # Cubic equilibrium where c1*x nearly cancels lam: the real root of
@@ -70,6 +75,33 @@ NICHOLSON_MU2 = {
 # lam = -0.5051897061202594, to 40 digits (60-digit arithmetic on the exact
 # float inputs)
 CUBIC_CANCELLING_XE = "0.06209810673104962419148893965987630770606"
+
+
+# The built-in models' Taylor tables in closed form, the cubic and quadratic
+# ones as the models stated them by hand before their coefficients came from
+# their expressions: each maps a coefficient to (value, term scale), the
+# scale the sum of the magnitudes the value is formed from.  Nicholson's
+# takes xi_yy = f''/2 and xi_yyy = f'''/6, and its scales a factor 1 + q
+# more: its expansion's exp(-x_e/x0) carries the rounding of x_e = x0 q,
+# which the exponential amplifies by q.  Coefficients not listed are zero.
+def cubic_taylor(spec, x_e):
+    return {"xi_x": (-(3.0 * x_e * x_e - spec.mu), abs(spec.mu) + 3.0 * x_e * x_e),
+            "xi_y": (-spec.k, spec.k), "xi_xx": (-3.0 * x_e, 3.0 * abs(x_e)),
+            "xi_xxx": (-1.0, 1.0)}
+
+
+def quadratic_taylor(spec, x_e):
+    return {"xi_x": (-(2.0 * x_e - spec.mu), abs(spec.mu) + 2.0 * abs(x_e)),
+            "xi_y": (-spec.k, spec.k), "xi_xx": (-1.0, 1.0)}
+
+
+def nicholson_taylor(spec):
+    g, x0, q = spec.gamma, spec.x0_size, math.log(spec.p_rate / spec.gamma)
+    return {"xi_x": (-g, g),
+            "xi_y": (-g * (q - 1.0), g * (q + 1.0) * (1.0 + q)),
+            "xi_yy": (-(g / x0) * (2.0 - q) / 2.0, g * (q + 2.0) / (2.0 * x0) * (1.0 + q)),
+            "xi_yyy": (g * (3.0 - q) / (6.0 * x0 * x0),
+                       g * (q + 3.0) / (6.0 * x0 * x0) * (1.0 + q))}
 
 
 def lambertw_roots(coeffs, eta, region):

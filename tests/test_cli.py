@@ -626,12 +626,13 @@ def test_analyze_at_extreme_lam_names_the_cone(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["analyze", "sweep"])
 def test_nicholson_size_outside_the_float_range_exits_3(tmp_path, capsys, command):
-    # x0_size**2 overflows: float ** raised a bare OverflowError
+    # x0_size**2 overflows: float ** raised a bare OverflowError; the
+    # expansion's (1/x0_size)^2 underflows
     ini = (NICHOLSON_INI.replace("x0_size = 1.0", "x0_size = 1e200")
            + _sweep_ini("epsilon", 0.1, 0.9, 3))
     code, stdout, err, out = _run(tmp_path, capsys, command, ini=ini)
     assert code == 3
-    assert err.startswith("error: x0_size squared")
+    assert err.startswith("error: xi_yy = 0.0 is outside the normal float range")
     assert stdout == ""
 
 

@@ -280,10 +280,10 @@ def test_sweep_amplitudes_grow_past_onset(ex1_spec):
 # --- memory ----------------------------------------------------------------
 
 # CubicBD(4.75, 1, -7, 1) at eta 1.03 to 1.05 from x_init 3 runs on a large
-# cycle, so 100,000 steps of dt = 0.01 run to the end without a periodic stop
+# cycle, so 10,000 steps of dt = 0.01 run to the end without a periodic stop
 _BIG_CYCLE = CubicBD(4.75, 1.0, -7.0, 1.0)
-_LONG_RUN = SimConfig(eta=1.05, x_init=3.0, t_end=1000.0)
-_SAMPLES = 100_001
+_LONG_RUN = SimConfig(eta=1.05, x_init=3.0, t_end=100.0)
+_SAMPLES = 10_001
 
 
 def _peak_bytes_per_sample(run):

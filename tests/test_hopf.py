@@ -7,6 +7,7 @@ form (which is normalized to critical gain 1), so the two agree exactly
 when the delay is chosen to put the Hopf point at eta_c = 1.
 """
 import math
+import typing
 from dataclasses import replace
 
 import numpy as np
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 
 from delaybif import (
     Analysis,
+    ConvergenceReport,
     CubicBD,
     CycleStability,
     DegenerateEpsilon,
@@ -25,13 +27,17 @@ from delaybif import (
     InvalidSpec,
     Nicholson,
     QuadraticBD,
+    SimConfig,
     TaylorCoefficients,
+    Verdict,
     analysis,
     classify,
     critical_eta,
     equilibrium,
     g_tilde,
     h_tilde,
+    integrate,
+    metrics,
     mu2_center_manifold,
     mu2_closed_form,
     mu2_cubic_specialization,
@@ -267,13 +273,15 @@ def test_nicholson_shape_frozen_values():
 
 
 def test_nicholson_positive_on_grid():
-    for eps in np.linspace(0.05, 0.95, 19):
-        assert nicholson_mu2_shape(float(eps)) > 0.0
+    # every eps = i/200 in (0, 1); the least, 0.2741, is at eps = 0.345
+    for i in range(1, 200):
+        assert nicholson_mu2_shape(i / 200) > 0.0
 
 
 def test_nicholson_consistent_with_general_form():
-    # the concrete-model route and the shape function must coincide;
-    # this leans on the unscaled derivative table (see test_models.py)
+    # the concrete-model route and the shape function must coincide; the
+    # shape is derived from the factorial-normalized expansion the model's
+    # expression gives (see test_models.py)
     for eps in (0.2, 0.35, 0.5, 0.65, 0.8):
         q = 1.0 + 1.0 / eps
         spec = Nicholson(gamma=1.0, p_rate=math.exp(q), x0_size=1.0, tau=1.0)
@@ -281,6 +289,22 @@ def test_nicholson_consistent_with_general_form():
         general = mu2_closed_form(taylor_coefficients(spec))
         assert direct == pytest.approx(general, rel=1e-12)
         assert direct == pytest.approx(nicholson_mu2_shape(eps), rel=1e-12)
+
+
+@pytest.mark.parametrize("above", [1.01, 1.02])
+def test_nicholson_cycle_has_the_normal_form_amplitude(nich_spec, above):
+    # with f''/2 and f'''/6 in the expansion, the simulated half-range is
+    # within 0.6% of 2 sqrt((eta - eta_c)/mu2); the unscaled f'' and f'''
+    # made mu2 2.5 times too large, and the prediction 37% too small
+    coeffs = taylor_coefficients(nich_spec)
+    hopf = critical_eta(coeffs)
+    mu2 = mu2_center_manifold(coeffs, hopf).mu2
+    eta = above * hopf.eta_c
+    predicted = 2.0 * math.sqrt((eta - hopf.eta_c) / mu2)
+    m = metrics(integrate(nich_spec, SimConfig(
+        eta=eta, x_init=equilibrium(nich_spec).x_e + predicted, t_end=600.0)))
+    assert m.verdict is Verdict.LIMIT_CYCLE
+    assert m.amplitude == pytest.approx(predicted, rel=0.02)
 
 
 def test_nicholson_population_scale():
@@ -341,6 +365,12 @@ def test_analysis_is_the_layer_calls(name, eta):
         nicholson_mu2=nicholson_mu2(spec) if name == "nicholson" else None,
         classification={"direction": lyap.direction, "cycle_stability": lyap.cycle_stability,
                         "eta": eta, "stability_at_eta": stability_verdict(coeffs, eta)})
+
+
+def test_analysis_type_hints_resolve():
+    # the convergence field is hinted through the package, so resolving it
+    # loads convergence, which importing hopf does not
+    assert typing.get_type_hints(Analysis)["convergence"] is ConvergenceReport
 
 
 def test_analysis_raises_what_critical_eta_raises():

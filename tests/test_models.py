@@ -2,6 +2,7 @@
 import dataclasses
 import math
 import random
+import sys
 from decimal import Decimal
 from fractions import Fraction
 
@@ -14,6 +15,7 @@ from delaybif import (
     Generic,
     InvalidSpec,
     InvariantViolation,
+    ModelSpec,
     Nicholson,
     NoEquilibrium,
     QuadraticBD,
@@ -25,7 +27,8 @@ from delaybif import (
     taylor_coefficients,
 )
 
-from _oracles import CUBIC_CANCELLING_XE, EX1_A, EX1_EPS, EX1_XE, EX2_A, EX2_EPS, EX2_XE
+from _oracles import (CUBIC_CANCELLING_XE, EX1_A, EX1_EPS, EX1_XE, EX2_A, EX2_EPS, EX2_XE,
+                      cubic_taylor, nicholson_taylor, quadratic_taylor)
 
 
 # --- equilibria ------------------------------------------------------------
@@ -329,18 +332,88 @@ def test_nicholson_taylor_linear_part(nich_spec):
 
 
 def test_nicholson_taylor_stores_plain_derivatives(nich_spec):
-    # The birth-rate table keeps the unscaled second and third delayed
-    # derivatives (no 1/2!, 1/6 factors).  The specialized Lyapunov shape
-    # function is calibrated against exactly this table, and
-    # test_hopf.py::test_nicholson_consistent_with_general_form holds only
-    # because both sides use it.
+    # The name is from when the birth-rate table kept the unscaled f_yy and
+    # f_yyy, against TaylorCoefficients' convention.  Its coefficients come
+    # from the model's expression now, so they carry the 1/2! and 1/3! every
+    # other model's do
     x_e = equilibrium(nich_spec).x_e
     c = taylor_coefficients(nich_spec)
     h = 1e-4 * max(1.0, abs(x_e))
     fyy = _fd2(lambda y: rhs(nich_spec, x_e, y), x_e, h)
     fyyy = _fd3(lambda y: rhs(nich_spec, x_e, y), x_e, 1e-2)
-    assert c.xi_yy == pytest.approx(fyy, rel=1e-6)
-    assert c.xi_yyy == pytest.approx(fyyy, rel=1e-3)
+    assert c.xi_yy == pytest.approx(fyy / 2.0, rel=1e-6)
+    assert c.xi_yyy == pytest.approx(fyyy / 6.0, rel=1e-3)
+
+
+def test_no_built_in_model_states_its_taylor_table():
+    # ModelSpec.taylor_coefficients expands each model's expression; only
+    # Generic, which its coefficients define, passes them through
+    owners = {base.__name__ for cls in (CubicBD, QuadraticBD, Nicholson, Generic)
+              for base in cls.__mro__ if "taylor_coefficients" in vars(base)}
+    assert owners == {"ModelSpec", "Generic"}
+
+
+def _seeded_models(rng, n):
+    """n models of each built-in variant with an analyzable expansion."""
+    for kind in ("cubic", "quadratic", "nicholson"):
+        made = 0
+        while made < n:
+            k, g = rng.uniform(1.0, 10.0), rng.uniform(0.5, 2.0)
+            if kind == "cubic":
+                spec = CubicBD(k, rng.uniform(-1.0, 0.9 * k), rng.uniform(-8.0, 8.0), 1.0)
+            elif kind == "quadratic":
+                spec = QuadraticBD(k, rng.uniform(-1.0, 0.9 * k), rng.uniform(-8.0, 0.0), 1.0)
+            else:
+                spec = Nicholson(g, g * rng.uniform(3.0, 60.0), rng.uniform(0.5, 2.0), 1.0)
+            try:
+                coeffs = taylor_coefficients(spec)
+            except (InvariantViolation, NoEquilibrium):  # outside the cone
+                continue
+            made += 1
+            yield spec, coeffs
+
+
+def test_expansion_matches_the_closed_form_tables():
+    # cubic and quadratic: the tables the models stated by hand; Nicholson:
+    # its closed form with the factorial-normalized xi_yy and xi_yyy.  Each
+    # coefficient within 2 eps of its term scale (see _oracles)
+    for spec, coeffs in _seeded_models(random.Random("expansion-tables"), 400):
+        x_e = equilibrium(spec).x_e
+        table = (nicholson_taylor(spec) if isinstance(spec, Nicholson)
+                 else cubic_taylor(spec, x_e) if isinstance(spec, CubicBD)
+                 else quadratic_taylor(spec, x_e))
+        for field in dataclasses.fields(coeffs)[:9]:
+            value, scale = table.get(field.name, (0.0, 0.0))
+            assert abs(getattr(coeffs, field.name) - value) <= (
+                2.0 * sys.float_info.epsilon * scale), (spec, field.name)
+
+
+@pytest.mark.parametrize("spec", [CubicBD(9.0, 1.0, -7.0, 0.187), CubicBD(4.75, 1.0, -7.0, 1.0),
+                                  QuadraticBD(3.0, 1.0, -2.0, 1.0)],
+                         ids=["readme", "second-set", "quadratic"])
+def test_worked_examples_keep_their_hand_written_tables_bit_for_bit(spec):
+    x_e = equilibrium(spec).x_e
+    table = cubic_taylor(spec, x_e) if isinstance(spec, CubicBD) else quadratic_taylor(spec, x_e)
+    c = taylor_coefficients(spec)
+    for field in dataclasses.fields(c)[:9]:
+        assert getattr(c, field.name).hex() == table.get(field.name, (0.0,))[0].hex()
+
+
+def test_expansion_of_the_generic_expression_is_its_coefficients():
+    # the expansion of Generic.expression reproduces the coefficients that
+    # define it bit for bit, but for the sign of a zero: at x_e = 0.0 the
+    # constant's products add signed zeros to it
+    rng = random.Random("generic-expansion")
+    names = ("xi_xx", "xi_xy", "xi_yy", "xi_xxx", "xi_xxy", "xi_xyy", "xi_yyy")
+    for _ in range(300):
+        b = rng.uniform(0.5, 3.0)
+        want = TaylorCoefficients(
+            xi_x=-b * rng.uniform(0.0, 0.9), xi_y=-b, tau=rng.uniform(0.2, 2.0),
+            **{name: rng.choice((0.0, -0.0, rng.uniform(-1.0, 1.0), rng.uniform(-1e3, 1e3)))
+               for name in names})
+        got = ModelSpec.taylor_coefficients(Generic(want))
+        assert [(v + 0.0).hex() for v in got.as_tuple()] == [
+            (v + 0.0).hex() for v in want.as_tuple()]
 
 
 def test_generic_taylor_passthrough(wright_coeffs):
@@ -417,21 +490,43 @@ def test_constructors_reject_non_finite_fields(cls, field, value):
 
 
 @pytest.mark.parametrize("x0_size, name", [
-    (1e200, "x0_size squared"),   # the square overflows
-    (1e-200, "x0_size squared"),  # the square underflows to 0
-    (1.3e154, "xi_yyy"),          # gamma / x0_size^2 is subnormal
-])
+    (1e200, "xi_yy = 0.0"),    # (1/x0_size)^2 underflows to 0
+    (1e-200, "xi_yy = inf"),   # (1/x0_size)^2 overflows
+    (1.3e154, "xi_yy = 5.9"),  # (1/x0_size)^2 is subnormal
+], ids=["1e+200-xi_yy-underflow", "1e-200-xi_yy-overflow", "1.3e+154-xi_yy-subnormal"])
 def test_nicholson_coefficients_outside_the_float_range_are_invalid(x0_size, name):
     spec = Nicholson(gamma=1.0, p_rate=50.0, x0_size=x0_size, tau=1.0)
-    with pytest.raises(InvalidSpec, match=name):
+    with pytest.raises(InvalidSpec, match=f"^{name}.* is outside the normal float range"):
         spec.taylor_coefficients()
 
 
 def test_nicholson_coefficient_may_be_exactly_zero():
-    # q = ln(p_rate/gamma) = 3 exactly: xi_yyy = 0 is exact, not an underflow
+    # q = ln(p_rate/gamma) = 3 exactly: xi_yyy = gamma(3 - q)/(6 x0^2) = 0,
+    # which the expansion forms as a sum of two rounded terms: it may round
+    # to a tiny normal value, or to a 0, which is exact, not an underflow
     spec = Nicholson(gamma=1.0, p_rate=math.exp(3.0), x0_size=1.0, tau=1.0)
     assert math.log(spec.p_rate / spec.gamma) == 3.0
-    assert spec.taylor_coefficients().xi_yyy == 0.0
+    xi_yyy = spec.taylor_coefficients().xi_yyy
+    assert abs(xi_yyy) <= 4.0 * sys.float_info.epsilon * spec.gamma / spec.x0_size ** 2
+
+
+@pytest.mark.parametrize("spec, name", [
+    (Nicholson(gamma=1.0, p_rate=1e308, x0_size=1.0, tau=1.0), r"exp\(-709"),  # e^-q subnormal
+    (CubicBD(k=1.0, mu=0.0, lam=1e-310, tau=1.0), "xi_x = -2e-310"),  # x_e subnormal
+], ids=["nicholson-exp", "cubic-subnormal-x_e"])
+def test_expansion_terms_outside_the_float_range_are_invalid(spec, name):
+    with pytest.raises(InvalidSpec, match=f"^{name}.* is outside the normal float range"):
+        spec.taylor_coefficients()
+
+
+def test_expansion_term_may_absorb_an_underflowed_product():
+    # x_e = -8e-228: the product x_e * (-2 x_e) in xi_x underflows to 0,
+    # but it is added to mu = -2.7e-209, which it could not change
+    spec = CubicBD(k=8.488809046846043e-50, mu=-2.661639449276482e-209,
+                   lam=6.835198317932701e-277, tau=1.0)
+    c = taylor_coefficients(spec)
+    assert c.xi_x == spec.mu and c.xi_xx == -3.0 * equilibrium(spec).x_e
+
 
 def test_taylor_cone_validation():
     with pytest.raises(InvariantViolation, match="need b > a"):
