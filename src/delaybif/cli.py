@@ -176,25 +176,40 @@ def _json_text(data) -> str:
                       allow_nan=False) + "\n"
 
 
-def _write(outdir: str, name: str, text: str) -> str:
-    """The one artifact writer: text into outdir/name, as is; a file that
-    cannot be written is a config problem, exit code 2."""
+def _write(outdir: str, name: str, text) -> str:
+    """The one artifact writer: text, a str or an iterable of str written
+    in turn, into outdir/name, as is; a file that cannot be written is a
+    config problem, exit code 2."""
     path = os.path.join(outdir, name)
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            fh.writelines([text] if isinstance(text, str) else text)
     except OSError as exc:
         raise _ConfigError(f"cannot write {path!r}: {exc}")
     return name
 
 
+# rows a CSV artifact formats, and a trajectory converts, at a time
+_BLOCK = 4096
+
+
+def _array_rows(*columns):
+    """The rows of equal-length numpy arrays as plain Python values, the
+    arrays converted one block of rows at a time."""
+    for start in range(0, len(columns[0]), _BLOCK):
+        yield from zip(*(column[start:start + _BLOCK].tolist() for column in columns))
+
+
 def _write_csv(outdir: str, name: str, header: list, rows) -> str:
     """Rows of plain Python values, floats by their repr, none needing
-    quotes: the bytes csv.writer gives with a newline terminator, in one
-    join."""
+    quotes: the bytes csv.writer gives with a newline terminator, formatted
+    and written one block of rows at a time."""
     line = ",".join(["{}"] * len(header)) + "\n"
-    return _write(outdir, name, line.format(*header)
-                  + "".join(itertools.starmap(line.format, rows)))
+    rows = iter(rows)
+    # every row formats to at least its newline, so only the end joins to ""
+    blocks = iter(lambda: "".join(itertools.starmap(line.format,
+                                                    itertools.islice(rows, _BLOCK))), "")
+    return _write(outdir, name, itertools.chain([line.format(*header)], blocks))
 
 
 def _write_table(outdir, stem, header, rows, fmt) -> str:
@@ -246,14 +261,14 @@ def _cmd_sweep(cp, model, outdir: str, fmt: str):
                 for eta, amp, period, verdict in points]
         stem, header = "bifurcation", ["eta", "amplitude", "period", "verdict"]
     else:
-        from .hopf import g_tilde, h_tilde, mu2_closed_form, nicholson_mu2_shape
-        coeffs = taylor_coefficients(model)
-        nicholson = isinstance(model, Nicholson)
+        from .hopf import g_tilde, h_tilde, mu2_closed_form
+        coeffs, shape = taylor_coefficients(model), model.mu2_shape
+        # the model's own mu2 route where it has one, else the closed form at b
         rows = [[eps, g_tilde(eps), h_tilde(eps),
-                 nicholson_mu2_shape(eps, model.x0_size) if nicholson
-                 else mu2_closed_form(dataclasses.replace(coeffs, xi_x=-eps * coeffs.b))]
+                 mu2_closed_form(dataclasses.replace(coeffs, xi_x=-eps * coeffs.b))
+                 if shape is None else shape(eps)]
                 for eps in grid]
-        stem = "nicholson_mu2" if nicholson else "gtilde"
+        stem = "gtilde" if shape is None else f"{model.variant}_mu2"
         header = ["epsilon", "g_tilde", "h_tilde", "mu2"]
     name = _write_table(outdir, stem, header, rows, fmt)
     return [name], f"wrote {name} to {outdir}\n"
@@ -268,7 +283,7 @@ def _cmd_simulate(cp, model, outdir: str, fmt: str):
         traj, result = exc.trajectory, exc
     m = metrics(traj)
     names = [_write_csv(outdir, "trajectory.csv", ["t", "x"],
-                        zip(traj.times.tolist(), traj.values.tolist())),
+                        _array_rows(traj.times, traj.values)),
              _write(outdir, "metrics.json", _json_text(m))]
     return names, result or f"verdict: {m.verdict.value}\n"
 
@@ -287,11 +302,12 @@ def _cmd_roots(cp, model, outdir: str, fmt: str):
     return [name], "".join(f"{re!r},{im!r},{res!r}\n" for re, im, res in rows)
 
 
+# each subcommand and the line that describes it in --help
 _COMMANDS = {
-    "analyze": _cmd_analyze,
-    "sweep": _cmd_sweep,
-    "simulate": _cmd_simulate,
-    "roots": _cmd_roots,
+    "analyze": (_cmd_analyze, "equilibrium, Hopf point, decay rate, Lyapunov coefficient"),
+    "sweep": (_cmd_sweep, "grid sweep over tau, eta, or epsilon"),
+    "simulate": (_cmd_simulate, "method-of-steps integration plus verdict metrics"),
+    "roots": (_cmd_roots, "rightmost characteristic roots"),
 }
 
 
@@ -303,25 +319,17 @@ def _build_parser() -> argparse.ArgumentParser:
                     "equations.")
     parser.add_argument("--version", action="version",
                         version=f"%(prog)s {__version__}")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", required=True,
+    parser.add_argument("command", choices=_COMMANDS, metavar="command",
+                        help="; ".join(f"{name}: {text}"
+                                       for name, (_, text) in _COMMANDS.items()))
+    parser.add_argument("--config", required=True,
                         help="path to the INI run configuration")
-    common.add_argument("--out", default=None,
+    parser.add_argument("--out", default=None,
                         help="output directory (default: [output] dir, "
                              "else 'out')")
-    common.add_argument("--format", choices=("csv", "json"), default=None,
+    parser.add_argument("--format", choices=("csv", "json"), default=None,
                         help="table output format (default: [output] format, "
                              "else csv)")
-    sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("analyze", parents=[common],
-                   help="equilibrium, Hopf point, decay rate, Lyapunov "
-                        "coefficient")
-    sub.add_parser("sweep", parents=[common],
-                   help="grid sweep over tau, eta, or epsilon")
-    sub.add_parser("simulate", parents=[common],
-                   help="method-of-steps integration plus verdict metrics")
-    sub.add_parser("roots", parents=[common],
-                   help="rightmost characteristic roots")
     return parser
 
 
@@ -339,7 +347,7 @@ def main(argv=None) -> int:
             raise _ConfigError(f"cannot create output directory "
                                f"{outdir!r}: {exc}")
         model = _build_model(cp)
-        names, result = _COMMANDS[args.command](cp, model, outdir, fmt)
+        names, result = _COMMANDS[args.command][0](cp, model, outdir, fmt)
         _write_manifest(outdir, args.command, cp, names)
         if isinstance(result, Divergence):
             raise result

@@ -12,9 +12,10 @@ Models with a single nonlinear argument are expressed through shape
 functions of epsilon alone.  g_tilde and h_tilde (quadratic and cubic
 self-coupling) and the two specializations built on them evaluate the
 closed form on a restricted coefficient set.  nicholson_mu2_shape, the
-exponential birth-rate model's shape, is derived by hand from that model's
-factorial-normalized expansion (xi_yy = f''/2, xi_yyy = f'''/6, as
-models.taylor_coefficients gives them), independently of the closed form.
+exponential birth-rate model's shape, lives in models as Nicholson's
+mu2_shape: it is derived by hand from that model's factorial-normalized
+expansion (xi_yy = f''/2, xi_yyy = f'''/6, as models.taylor_coefficients
+gives them), independently of the closed form, and re-exported here.
 
 analysis gathers all of it, with the equilibrium and the decay rate, into
 the one record the analyze command writes.
@@ -23,15 +24,15 @@ from __future__ import annotations
 
 import cmath
 import enum
-import math
 from dataclasses import dataclass
 
 import delaybif
 
 from .chareq import HopfPoint, critical_eta, stability_verdict
-from .errors import DegenerateEpsilon, InvalidSpec
-from .models import (EquilibriumReport, ModelSpec, Nicholson, TaylorCoefficients, _normal,
-                     equilibrium, taylor_coefficients)
+from .errors import InvalidSpec
+from .models import (EquilibriumReport, ModelSpec, Nicholson, TaylorCoefficients,
+                     _checked_epsilon, _normal, equilibrium, nicholson_mu2_shape,
+                     taylor_coefficients)
 
 __all__ = [
     "DEGENERACY_THRESHOLD",
@@ -92,12 +93,6 @@ class LyapunovReport:
     F: complex
     direction: Direction
     cycle_stability: CycleStability
-
-
-def _checked_epsilon(e: float) -> float:
-    if not 0.0 <= e < 1.0:
-        raise DegenerateEpsilon(f"epsilon = a/b must lie in [0, 1), got {e!r}")
-    return e
 
 
 def mu2_closed_form(coeffs: TaylorCoefficients) -> float:
@@ -277,38 +272,9 @@ def mu2_quadratic_specialization(coeffs: TaylorCoefficients) -> float:
     return mu2_closed_form(TaylorCoefficients(xi_x=coeffs.xi_x, xi_y=coeffs.xi_y, xi_xx=1.0))
 
 
-def nicholson_mu2_shape(epsilon: float, x0_size: float = 1.0) -> float:
-    """Lyapunov coefficient of the exponential birth-rate model at epsilon.
-
-    The fully simplified form, a function of epsilon alone up to the
-    1/x0^2 prefactor that carries the population scale (and therefore
-    never changes the sign).  It is derived by hand from the model's
-    expansion about N* = x0 q, q = ln(p_rate/gamma): b = gamma(q - 1),
-    a = gamma, so q = 1 + 1/e, xi_yy = gamma(q - 2)/(2 x0) =
-    gamma(1 - e)/(2 e x0) and xi_yyy = gamma(3 - q)/(6 x0^2) =
-    gamma(2e - 1)/(6 e x0^2); gamma cancels.  The first term is the
-    quadratic coupling, the second the cubic one.
-
-    Raises
-    ------
-    InvalidSpec
-        If x0_size squared, or mu2, is outside the normal float range.
-    """
-    eps = epsilon
-    cone = TaylorCoefficients(xi_x=-_checked_epsilon(eps), xi_y=-1.0)
-    one_e2, ck, ht = cone.one_minus_e2, cone.r, cone.theta
-    quadratic = ((1 - eps) / ((1 + eps) ** 2 * (5 - 4 * eps))
-                 * (ck * (-4 * eps**3 - 4 * eps**2 + 13 * eps - 2)
-                    + ht * (-2 * eps**2 - 6 * eps + 11)))
-    cubic = (2 * eps - 1) / one_e2 * (eps * ck + ht)
-    return _normal((quadratic + cubic) / (2 * ht)
-                   / _normal(x0_size * x0_size, name="x0_size squared"))
-
-
 def nicholson_mu2(spec: Nicholson) -> float:
-    """Lyapunov coefficient of a concrete exponential birth-rate model.
-
-    Evaluates nicholson_mu2_shape at epsilon = 1/(ln(p_rate/gamma) - 1).
+    """Lyapunov coefficient of a concrete exponential birth-rate model:
+    spec.mu2_shape(), nicholson_mu2_shape at epsilon = 1/(ln(p_rate/gamma) - 1).
     Agrees with mu2_closed_form applied to taylor_coefficients(spec).
 
     Raises
@@ -316,8 +282,7 @@ def nicholson_mu2(spec: Nicholson) -> float:
     DegenerateEpsilon
         If epsilon falls outside (0, 1).
     """
-    q = math.log(spec.p_rate / spec.gamma)
-    return nicholson_mu2_shape(1.0 / (q - 1.0), spec.x0_size)
+    return spec.mu2_shape()
 
 
 def _classify_values(mu2: float, beta2: float) -> tuple[Direction, CycleStability]:
@@ -341,8 +306,9 @@ def classify(report: LyapunovReport) -> tuple[Direction, CycleStability]:
 @dataclass(frozen=True)
 class Analysis:
     """analysis' record, with analyze.json's keys for every model: nicholson_mu2
-    is None for a model without its own mu2 route.  The rightmost root is
-    convergence's: -sigma2 below tau*, -sigma3 + i*u2/tau above it."""
+    is the model's own mu2_shape(), None for a model without one.  The
+    rightmost root is convergence's: -sigma2 below tau*, -sigma3 + i*u2/tau
+    above it."""
 
     model: dict
     equilibrium: EquilibriumReport
@@ -367,4 +333,4 @@ def analysis(spec: ModelSpec, eta: float = 1.0) -> Analysis:
         {"variant": spec.variant}, eq, coeffs, hopf, conv, lyap, mu2_closed_form(coeffs),
         classification={"direction": lyap.direction, "cycle_stability": lyap.cycle_stability,
                          "eta": eta, "stability_at_eta": stability_verdict(coeffs, eta)},
-        nicholson_mu2=nicholson_mu2(spec) if isinstance(spec, Nicholson) else None)
+        nicholson_mu2=None if spec.mu2_shape is None else spec.mu2_shape())

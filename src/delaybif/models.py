@@ -15,7 +15,7 @@ import math
 import sys
 from dataclasses import dataclass, fields
 
-from .errors import InvalidSpec, InvariantViolation, NoEquilibrium
+from .errors import DegenerateEpsilon, InvalidSpec, InvariantViolation, NoEquilibrium
 
 __all__ = [
     "CubicBD",
@@ -141,11 +141,16 @@ class ModelSpec:
     its x-free part, as the built-in models do: the kernel then takes that
     part as one term per delayed value, and each stage costs two
     operations per degree in x.
+    A variant may also supply ``mu2_shape(epsilon=None)``, its own mu2
+    derived by hand as a function of epsilon, at its own epsilon by
+    default: a route to mu2 independent of the closed form.  It is None
+    for a model without one.
     Module-level functions of the same names check for a ModelSpec once
     and delegate.
     """
 
     expression: str
+    mu2_shape = None
 
     def constants(self) -> dict:
         return {name: getattr(self, name) for name in _compiled(type(self))[0]}
@@ -519,6 +524,49 @@ class Nicholson(ModelSpec):
         x = self.x0_size * math.log(self.p_rate / self.gamma)
         res = abs(-self.gamma * x + self.p_rate * x * math.exp(-x / self.x0_size))
         return EquilibriumReport(x_e=x, residual=res)
+
+    def mu2_shape(self, epsilon: float | None = None) -> float:
+        """nicholson_mu2_shape at this model's x0_size, by default at its
+        own epsilon = 1/(ln(p_rate/gamma) - 1)."""
+        if epsilon is None:
+            epsilon = 1.0 / (math.log(self.p_rate / self.gamma) - 1.0)
+        return nicholson_mu2_shape(epsilon, self.x0_size)
+
+
+def _checked_epsilon(e: float) -> float:
+    if not 0.0 <= e < 1.0:
+        raise DegenerateEpsilon(f"epsilon = a/b must lie in [0, 1), got {e!r}")
+    return e
+
+
+def nicholson_mu2_shape(epsilon: float, x0_size: float = 1.0) -> float:
+    """Lyapunov coefficient of the exponential birth-rate model at epsilon.
+
+    The fully simplified form, a function of epsilon alone up to the
+    1/x0^2 prefactor that carries the population scale (and therefore
+    never changes the sign).  It is derived by hand from the model's
+    expansion about N* = x0 q, q = ln(p_rate/gamma): b = gamma(q - 1),
+    a = gamma, so q = 1 + 1/e, xi_yy = gamma(q - 2)/(2 x0) =
+    gamma(1 - e)/(2 e x0) and xi_yyy = gamma(3 - q)/(6 x0^2) =
+    gamma(2e - 1)/(6 e x0^2); gamma cancels.  The first term is the
+    quadratic coupling, the second the cubic one.
+
+    Raises
+    ------
+    DegenerateEpsilon
+        If epsilon falls outside [0, 1).
+    InvalidSpec
+        If x0_size squared, or mu2, is outside the normal float range.
+    """
+    eps = epsilon
+    cone = TaylorCoefficients(xi_x=-_checked_epsilon(eps), xi_y=-1.0)
+    one_e2, ck, ht = cone.one_minus_e2, cone.r, cone.theta
+    quadratic = ((1 - eps) / ((1 + eps) ** 2 * (5 - 4 * eps))
+                 * (ck * (-4 * eps**3 - 4 * eps**2 + 13 * eps - 2)
+                    + ht * (-2 * eps**2 - 6 * eps + 11)))
+    cubic = (2 * eps - 1) / one_e2 * (eps * ck + ht)
+    return _normal((quadratic + cubic) / (2 * ht)
+                   / _normal(x0_size * x0_size, name="x0_size squared"))
 
 
 @dataclass(frozen=True)

@@ -140,6 +140,16 @@ def cheb(n):
     return d - np.diag(d.sum(axis=1)), x
 
 
+# the largest N spectral_roots collocates on: its dense eigenproblem of
+# order N + 1 takes a few milliseconds there, and grows as N^3 beyond
+SPECTRAL_MAX_N = 200
+
+
+def spectral_n(tau, region):
+    """The N spectral_roots collocates region on, at delay tau."""
+    return int(tau * (region.im_max + max(abs(region.re_min), abs(region.re_max))) / 2.0) + 12
+
+
 def spectral_roots(coeffs, eta, region):
     """Every root in region with Im >= 0, rightmost first, from the spectrum
     of the generator of u' = -A u - B u(t - tau), A = eta*a, B = eta*b.
@@ -153,9 +163,18 @@ def spectral_roots(coeffs, eta, region):
     G(lambda) = lambda + A + B e^(-lambda tau), kept if Newton converges
     inside the region, and merged with any root already found within 1e-7
     relative.
+
+    A region that needs N above SPECTRAL_MAX_N, as a large b*tau makes the
+    default one, raises ValueError instead of building a larger
+    eigenproblem.  The tests keep the regions they give this oracle within
+    the limit, and check denser regions, such as the README model's at
+    tau = 50, against lambertw_roots alone.
     """
     A, B, tau = eta * coeffs.a, eta * coeffs.b, coeffs.tau
-    n = int(tau * (region.im_max + max(abs(region.re_min), abs(region.re_max))) / 2.0) + 12
+    n = spectral_n(tau, region)
+    if n > SPECTRAL_MAX_N:
+        raise ValueError(f"the region needs N = {n} Chebyshev nodes, above "
+                         f"SPECTRAL_MAX_N = {SPECTRAL_MAX_N}")
     m = (2.0 / tau) * cheb(n)[0]
     m[0] = 0.0
     m[0, 0], m[0, n] = -A, -B

@@ -48,7 +48,9 @@ from _oracles import (
     ROOT_EX2_ETA095,
     ROOT_UNSTABLE,
     ROOT_WRIGHT,
+    SPECTRAL_MAX_N,
     lambertw_roots,
+    spectral_n,
     spectral_roots,
 )
 
@@ -542,7 +544,8 @@ def test_lambert_roots_refuse_too_many_branches_before_computing_one(
 def test_lambert_roots_agree_with_the_spectral_oracle():
     # same count and each root within 1e-9, against a collocation of the
     # equation that uses neither the Lambert-W formula nor the winding
-    # search; eta*b*tau in 5..30 puts branches k >= 1 in every region
+    # search; eta*b*tau in 5..30 puts branches k >= 1 in every region, and
+    # their collocations take N = 23 to 66
     rng = random.Random(25)
     for i in range(40):
         a = rng.uniform(0.0, 2.0)
@@ -555,11 +558,21 @@ def test_lambert_roots_agree_with_the_spectral_oracle():
             region = RootSearchRegion(re_min=region.re_min - 2.0, re_max=region.re_max,
                                       im_max=region.im_max + 4.0 * math.pi / tau)
         got = [complex(r.re, r.im) for r in lambert_roots(c, eta, search=region)]
+        assert spectral_n(tau, region) <= SPECTRAL_MAX_N
         oracle = spectral_roots(c, eta, region)
         assert any(lam.imag > 2.0 * math.pi / tau for lam in got)
         assert len(got) == len(oracle)
         for lam, ref in zip(got, oracle):
             assert abs(lam - ref) < 1e-9
+
+
+def test_spectral_oracle_refuses_a_region_beyond_its_largest_collocation(ex1_coeffs):
+    # the README model's default region at tau = 50 needs N = 700
+    c = dataclasses.replace(ex1_coeffs, tau=50.0)
+    region = RootSearchRegion.default_for(c, 1.0)
+    assert spectral_n(c.tau, region) > SPECTRAL_MAX_N
+    with pytest.raises(ValueError, match="SPECTRAL_MAX_N"):
+        spectral_roots(c, 1.0, region)
 
 
 @pytest.mark.parametrize("xi_x, xi_y, tau, eta, truth", [

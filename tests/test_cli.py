@@ -4,6 +4,7 @@ import contextlib
 import csv
 import dataclasses
 import io
+import itertools
 import json
 import math
 import os
@@ -11,6 +12,7 @@ import random
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -667,6 +669,33 @@ def test_version_flag(capsys):
     assert capsys.readouterr().out.strip() == f"delaybif {__version__}"
 
 
+_DESCRIPTIONS = {
+    "analyze": "equilibrium, Hopf point, decay rate, Lyapunov coefficient",
+    "sweep": "grid sweep over tau, eta, or epsilon",
+    "simulate": "method-of-steps integration plus verdict metrics",
+    "roots": "rightmost characteristic roots",
+}
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["sweep", "--help"]])
+def test_help_names_every_subcommand(capsys, argv):
+    # one parser: a subcommand's --help is the global help
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    for name, description in _DESCRIPTIONS.items():
+        assert f"{name}: {description}" in text
+
+
+@pytest.mark.parametrize("argv", [["bogus", "--config", "run.ini"], ["analyze"], []])
+def test_unknown_command_or_missing_config_exits_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.startswith("usage: delaybif")
+
+
 def test_output_dir_from_config(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     ini = CUBIC_INI + "[output]\ndir = results\n"
@@ -950,6 +979,24 @@ def test_csv_table_is_what_csv_writer_writes(tmp_path, capsys, monkeypatch, name
         assert any(isinstance(value, str) for value in values)
     if name == "eta":
         assert any(isinstance(value, float) and math.isnan(value) for value in values)
+
+
+def test_trajectory_csv_is_written_in_blocks(tmp_path):
+    # 100,001 rows: the text of all of them in one join, with the two
+    # columns as lists, peaked at about 150 bytes a row
+    times = np.linspace(0.0, 1000.0, 100_001)
+    values = 1.1 * np.sin(times)
+    text = "t,x\n" + "".join(itertools.starmap("{},{}\n".format,
+                                               zip(times.tolist(), values.tolist())))
+    tracemalloc.start()
+    try:
+        cli._write_csv(str(tmp_path), "trajectory.csv", ["t", "x"],
+                       cli._array_rows(times, values))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / len(times) <= 16.0
+    assert (tmp_path / "trajectory.csv").read_bytes() == text.encode()
 
 
 # --- exit-code contract ----------------------------------------------------

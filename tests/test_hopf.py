@@ -7,6 +7,7 @@ form (which is normalized to critical gain 1), so the two agree exactly
 when the delay is chosen to put the Hopf point at eta_c = 1.
 """
 import math
+import random
 import typing
 from dataclasses import replace
 
@@ -289,6 +290,22 @@ def test_nicholson_consistent_with_general_form():
         general = mu2_closed_form(taylor_coefficients(spec))
         assert direct == pytest.approx(general, rel=1e-12)
         assert direct == pytest.approx(nicholson_mu2_shape(eps), rel=1e-12)
+
+
+def test_nicholson_mu2_shape_is_the_models_own_route():
+    # seeded models with epsilon = 1/(q - 1) in (0.11, 1): the model's
+    # shape is hopf's bit for bit on the 1/200 grid, and at its own epsilon
+    # it is nicholson_mu2
+    rng = random.Random(29)
+    for _ in range(20):
+        gamma, q = 10.0 ** rng.uniform(-3.0, 3.0), rng.uniform(2.01, 10.0)
+        spec = Nicholson(gamma=gamma, p_rate=gamma * math.exp(q),
+                         x0_size=10.0 ** rng.uniform(-3.0, 3.0), tau=1.0)
+        for i in range(1, 200):
+            assert spec.mu2_shape(i / 200) == nicholson_mu2_shape(i / 200, spec.x0_size)
+        eps = 1.0 / (math.log(spec.p_rate / spec.gamma) - 1.0)
+        assert spec.mu2_shape() == nicholson_mu2(spec) == \
+            nicholson_mu2_shape(eps, spec.x0_size)
 
 
 @pytest.mark.parametrize("above", [1.01, 1.02])

@@ -1,7 +1,9 @@
 """Model definitions: equilibria, Taylor tables, validation, rhs evaluation."""
 import dataclasses
 import math
+import os
 import random
+import subprocess
 import sys
 from decimal import Decimal
 from fractions import Fraction
@@ -10,6 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import delaybif
 from delaybif import (
     CubicBD,
     Generic,
@@ -603,6 +606,26 @@ def test_public_functions_delegate_to_the_spec(spec):
                 fn(bad)
         with pytest.raises(InvalidSpec):
             rhs(bad, 0.3, -0.2)
+
+
+def test_only_nicholson_has_its_own_mu2_route():
+    # the attribute hopf.analysis and the epsilon sweep read, in place of a
+    # test of the model's class
+    assert ModelSpec.mu2_shape is None
+    for cls in (CubicBD, QuadraticBD, Generic):
+        assert cls.mu2_shape is None
+    assert callable(Nicholson(gamma=1.0, p_rate=50.0, x0_size=1.0, tau=1.0).mu2_shape)
+
+
+def test_models_loads_no_analysis_layer():
+    # a fresh interpreter: models holds Nicholson's own mu2 without hopf
+    src = os.path.dirname(os.path.dirname(delaybif.__file__))
+    probe = ("import sys, delaybif.models; "
+             "print(sorted(m for m in sys.modules if m.startswith('delaybif.')))")
+    proc = subprocess.run([sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "['delaybif.errors', 'delaybif.models']\n"
 
 
 _COEFF = st.floats(-10.0, 10.0, allow_nan=False)
