@@ -129,10 +129,10 @@ def integrate(spec: ModelSpec, config: SimConfig) -> Trajectory:
     midpoint is built once, when node j+1 lands, into a buffer of the
     delay's m midpoints, and lives until the next delay has read it; each
     delay reads the previous delay's buffer, and its nodes from a slice
-    taken before it starts.  So a run holds one float per sample: about
-    40 bytes a sample at its peak, the kernel's list of samples and the
-    array it is copied to, and the list goes before the tail is filled and
-    the times are built.
+    taken before it starts.  So a run holds 8 bytes a sample: the kernel
+    writes each sample into one float64 buffer, which values wraps without
+    a copy, and the times add 8 more, 16 bytes a sample at the peak.  A
+    diverged run keeps a copy of its finite prefix alone.
     The loop is spec.rk4, one call per run: the model's compiled kernel,
     eta * f inlined at every stage.  History on [-tau, 0] is config.x_init.
     After each delay the kernel looks for a periodic tail.  Step i + 1
@@ -140,13 +140,13 @@ def integrate(spec: ModelSpec, config: SimConfig) -> Trajectory:
     if those equal the 2m + 1 samples p steps earlier, it reads what step
     i + 1 - p read and returns the same sample, and so does every step
     after it, a constant tail being p = 1.  The kernel then returns p, and
-    integrate fills the remaining samples by repeating the last p, which
-    gives the samples of running every step.  The earlier samples must
-    start at sample 0 or later, since the constant history before it has
-    no Hermite midpoints, and hold no zero: 0.0 == -0.0, but the two are
-    written differently.  The kernel searches only where the newest sample
-    is within 1e-13, relative, of the one 2m + 1 steps back, and only
-    periods of up to 8m steps.  Neither bound can change a sample: a run that
+    integrate fills the remaining samples in place by repeating the last
+    p, which gives the samples of running every step.  The earlier samples
+    must start at sample 0 or later, since the constant history before it
+    has no Hermite midpoints, and hold no zero: 0.0 == -0.0, but the two
+    are written differently.  The kernel searches only where the newest sample
+    is within 4e-14, relative, of the one 2m + 1 steps back, and only
+    periods of up to 5m steps.  Neither bound can change a sample: a run that
     misses one takes its next steps, as if there were no stop.
 
     Raises
@@ -191,15 +191,19 @@ def integrate(spec: ModelSpec, config: SimConfig) -> Trajectory:
         raise InvalidSpec(
             f"t_end = {config.t_end:.6g} takes {n} steps of dt = {dt:.6g}: "
             "more samples than memory holds") from None
-    values = np.fromiter(xs, float, i + 1)
-    del xs  # the samples live on in values alone
+    values = np.frombuffer(xs)  # the kernel's samples themselves, not a copy
+    del xs  # values holds the buffer; a Divergence's traceback would hold xs
     if p:  # the run stopped on a tail of period p: lay copies of it end to end
-        values.resize(n + 1, refcheck=False)
-        tail = values[i + 1 - p:i + 1]
-        values[i + 1:] = tail[None].repeat((n - i) // p + 1, 0).ravel()[:n - i]
+        k = i + 1 - p
+        rows = (n + 1 - k) // p
+        values[k:k + rows * p].reshape(rows, p)[1:] = values[k:i + 1]
+        values[k + rows * p:] = values[k:n + 1 - rows * p]
         i = n
-    traj = Trajectory(times=np.arange(i + 1, dtype=float) * dt,
-                      values=values, model=spec, config=config)
+    elif i < n:  # keep the finite prefix alone, not the whole buffer
+        values = values[:i + 1].copy()
+    times = np.arange(i + 1, dtype=float)
+    times *= dt
+    traj = Trajectory(times=times, values=values, model=spec, config=config)
     if i < n:
         raise Divergence(f"|x| exceeded {DIVERGENCE_THRESHOLD:.0e} at t = "
                          f"{(i + 1) * dt:.6g}", trajectory=traj)
@@ -232,13 +236,17 @@ def _fit_decay_rate(traj: Trajectory, x_e: float) -> float:
     oscillatory.  NaN when fewer than two usable samples remain.
     """
     tau = delay_of(traj.model)
-    dev = np.abs(traj.values - x_e)
+    dev = traj.values - x_e
+    np.abs(dev, out=dev)
     scale = max(1.0, abs(x_e))
     t_skip = min(2.0 * tau, 0.2 * float(traj.times[-1]))
-    mask = (traj.times >= t_skip) & (dev > 1e-12 * scale)
+    mask = traj.times >= t_skip
+    mask &= dev > 1e-12 * scale
     if mask.sum() < 2:
         return math.nan
-    t, d = traj.times[mask], dev[mask]
+    d = dev[mask]
+    del dev  # one full-length float temporary at a time
+    t = traj.times[mask]
     pt, ph = _refined_peaks(t, d)
     keep = ph > 0.0
     if keep.sum() >= 5:
@@ -265,7 +273,8 @@ def metrics(traj: Trajectory) -> LimitCycleMetrics:
     mean refined peak spacing; Undetermined otherwise.
     """
     vals = traj.values
-    finite = np.abs(vals) <= DIVERGENCE_THRESHOLD  # False for NaN and inf too
+    finite = vals >= -DIVERGENCE_THRESHOLD  # False for NaN and inf too
+    finite &= vals <= DIVERGENCE_THRESHOLD
     stop = len(vals) if finite.all() else int(np.argmin(finite))
     if stop < len(vals) or len(vals) < int(round(traj.config.t_end / traj.dt)) + 1:
         prefix = vals[:stop]

@@ -133,14 +133,14 @@ class ModelSpec:
     stage, its delay-only terms evaluated once per delayed value, each
     Hermite midpoint of the history built once, when its right node lands
     (x_init throughout the first delay, where the history is constant),
-    and kept only until the next delay has read it, so a run holds one
-    float per sample, about 40 bytes a sample at its peak with the array
-    integrate copies them to, and a stop where the run's tail has become
-    periodic, bit for bit, as ddesim.integrate states.  eta and the
-    constants are arguments, never source.  Write f Horner in x and group
-    its x-free part, as the built-in models do: the kernel then takes that
-    part as one term per delayed value, and each stage costs two
-    operations per degree in x.
+    and kept only until the next delay has read it, so a run holds 8 bytes
+    a sample, in the one float64 buffer integrate hands to numpy without a
+    copy (16 bytes a sample at its peak, with the times), and a stop where
+    the run's tail has become periodic, bit for bit, as ddesim.integrate
+    states.  eta and the constants are arguments, never source.  Write f
+    Horner in x and group its x-free part, as the built-in models do: the
+    kernel then takes that part as one term per delayed value, and each
+    stage costs two operations per degree in x.
     A variant may also supply ``mu2_shape(epsilon=None)``, its own mu2
     derived by hand as a function of epsilon, at its own epsilon by
     default: a route to mu2 independent of the closed form.  It is None
@@ -188,9 +188,12 @@ def kernel(_x0, _n, _m, _dt, eta, _limit, *, {params}exp=exp):
     # _new: this delay's cubic Hermite midpoints, that of [t_j-1, t_j] built
     # once when node j lands, from both nodes, _k1 and _fn, f at the new
     # node; _mids: the previous delay's, the ones this delay reads.  A
-    # midpoint lives until the next delay has read it, so a run holds one
-    # float per sample, _xs, and m midpoints.  Step _i writes _xs[_i]
-    _xs = [_x0] * (_n + 1)
+    # midpoint lives until the next delay has read it, so a run holds the
+    # 8 bytes of each sample in the one float64 buffer _xs, which integrate
+    # hands to numpy as it is, and m midpoints.  Step _i writes _xs[_i].
+    # array is loaded here, so that commands that never simulate skip it
+    from array import array as _array
+    _xs = _array("d", [_x0]) * (_n + 1)
     _half, _sixth, _eighth, _floor = 0.5 * _dt, _dt / 6.0, 0.125 * _dt, -_limit
     x = y = _x = _x0
     _i = 1
@@ -228,15 +231,15 @@ def kernel(_x0, _n, _m, _dt, eta, _limit, *, {params}exp=exp):
             # samples, a constant being p = 1.  The earlier window must start
             # at sample 0 or later, past the constant history, and hold no
             # zero: 0.0 == -0.0, but the two print differently.  Periods are
-            # searched only where x is within 1e-13, relative, of the sample
+            # searched only where x is within 4e-14, relative, of the sample
             # before _lo (tails that toggle in their last bits span about
-            # 2e-14), and only up to 8 delays: a run that fails either test
+            # 2e-14), and only up to 5 delays: a run that fails either test
             # just takes its next steps
             _lo = _i - 2 * _m
-            if _lo > 0 and abs(x - _xs[_lo - 1]) <= 1e-13 * abs(x):
+            if _lo > 0 and abs(x - _xs[_lo - 1]) <= 4e-14 * abs(x):
                 _w = _xs[_lo:_i + 1]
                 try:
-                    _j = _xs.index(_w[0], max(_lo - 8 * _m, 0), _lo)
+                    _j = _xs.index(_w[0], max(_lo - 5 * _m, 0), _lo)
                     while _xs[_j:_j + 2 * _m + 1] != _w:
                         _j = _xs.index(_w[0], _j + 1, _lo)
                 except ValueError:  # no period yet

@@ -710,12 +710,12 @@ def test_output_dir_from_config(tmp_path, capsys, monkeypatch):
 
 # Runs in a fresh interpreter: which modules a command loads is only visible
 # before anything else has imported them.  Prints, after the import and
-# after each command, whether numpy is loaded and which delaybif modules
-# are, plus the exit codes.
+# after each command, whether numpy and array are loaded and which delaybif
+# modules are, plus the exit codes.
 _NUMPY_PROBE = textwrap.dedent("""\
     import json, sys
     def loaded():
-        return {"numpy": "numpy" in sys.modules,
+        return {"numpy": "numpy" in sys.modules, "array": "array" in sys.modules,
                 "delaybif": sorted(m for m in sys.modules if m.split(".")[0] == "delaybif")}
     steps = {"start": loaded()}
     from delaybif.cli import main
@@ -736,7 +736,8 @@ def _sweep_ini(axis, start, stop, count):
 
 def _probe_commands(tmp_path, order):
     """The probe's record of the named runs, in this order, in one fresh
-    interpreter; skips where the interpreter loads numpy at start-up."""
+    interpreter; skips where the interpreter loads numpy or array at
+    start-up."""
     short = CUBIC_INI.replace("t_end = 60.0", "t_end = 12.0")
     runs = {"analyze": ("analyze", CUBIC_INI),
             "tau": ("sweep", CUBIC_INI + _sweep_ini("tau", 0.005, 0.18, 8)),
@@ -754,8 +755,8 @@ def _probe_commands(tmp_path, order):
         timeout=120)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
-    if result["loaded"]["start"]["numpy"]:
-        pytest.skip("this interpreter imports numpy at start-up")
+    if result["loaded"]["start"]["numpy"] or result["loaded"]["start"]["array"]:
+        pytest.skip("this interpreter imports numpy or array at start-up")
     assert result["codes"] == {name: 0 for name in order}
     return result["loaded"]
 
@@ -771,8 +772,11 @@ def test_analysis_commands_do_not_import_numpy(tmp_path):
         tmp_path, ["analyze", "tau", "epsilon", "roots", "simulate", "eta"])
     for step in ("import", "analyze", "tau", "epsilon", "roots"):
         assert not loaded[step]["numpy"], step
-    # simulating loads ddesim, and numpy with it, when the command runs
+        assert not loaded[step]["array"], step
+    # simulating loads ddesim, and numpy with it, when the command runs, and
+    # array when the kernel allocates its buffer
     assert loaded["simulate"]["numpy"]
+    assert loaded["simulate"]["array"]
     assert (tmp_path / "eta" / "bifurcation.csv").exists()
 
 

@@ -299,19 +299,51 @@ def _peak_bytes_per_sample(run):
 
 
 def test_integrate_holds_each_sample_once():
-    # the samples' floats and their list, then the array they are copied
-    # to: 40 bytes; a midpoint per sample would add 32, and the list kept
-    # while the times are built 8
+    # the kernel's float64 buffer, which values wraps, and the times: 16
+    # bytes, plus the midpoints of one delay (0.34 here); a copy of the
+    # samples would add 8, and a list of them 32
     def run():
         assert len(integrate(_BIG_CYCLE, _LONG_RUN).values) == _SAMPLES
-    assert _peak_bytes_per_sample(run) <= 44.0
+    assert _peak_bytes_per_sample(run) <= 17.0
 
 
 def test_sweep_holds_one_run_at_a_time():
+    # one run's 16.3 bytes, and the metrics' boolean masks (19.1 in all);
     # the trajectory of the run before, kept while the next one runs,
     # would add its 16 bytes of times and values
     def run():
         rows = sweep_bifurcation(_BIG_CYCLE, [1.03, 1.04, 1.05], _LONG_RUN,
                                  continue_history=True)
         assert [r[3] for r in rows] == [Verdict.LIMIT_CYCLE] * 3
-    assert _peak_bytes_per_sample(run) <= 44.0
+    assert _peak_bytes_per_sample(run) <= 21.0
+
+
+def test_decay_fit_holds_one_float_temporary_at_a_time():
+    # at eta 0.3 the run settles on a constant at sample 7,687, so it goes
+    # through the tail fill and then the decay fit: the run's 16 bytes,
+    # |x - x_e| and the samples the fit keeps, with their times (33.0 in
+    # all); a full-length temporary more would add 8
+    def run():
+        m = metrics(integrate(_BIG_CYCLE, SimConfig(eta=0.3, x_init=1.4, t_end=100.0)))
+        assert m.verdict is Verdict.CONVERGED_TO_EQUILIBRIUM
+    assert _peak_bytes_per_sample(run) <= 35.0
+
+
+def test_diverged_run_keeps_only_its_prefix():
+    # the run leaves the band after 22 of its 1,000,000 steps: the error
+    # holds the finite prefix (about 2 kB with the error and its
+    # traceback), not the 8 MB buffer the kernel filled
+    model = Generic(TaylorCoefficients(xi_x=0.0, xi_y=-1.0, xi_xx=5.0, tau=1.0))
+    cfg = SimConfig(eta=1.0, x_init=1.0, t_end=10_000.0)
+    with pytest.raises(Divergence):  # compiles the kernel outside the measurement
+        integrate(model, cfg)
+    tracemalloc.start()
+    try:
+        with pytest.raises(Divergence) as exc:
+            integrate(model, cfg)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    prefix = len(exc.value.trajectory.values)
+    assert prefix < 100
+    assert held <= 16 * prefix + 20_000

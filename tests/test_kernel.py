@@ -3,10 +3,10 @@
 integrate runs one loop per model class, compiled from the model's
 expression with eta * f inlined at every stage and its delay-only terms
 evaluated once per delayed value.  The kernel stops where the run's tail
-repeats bit for bit with a period p of up to 8 delays, a constant being
+repeats bit for bit with a period p of up to 5 delays, a constant being
 p = 1, and reports p; integrate fills the rest of the samples by
 repeating the last p.  The kernel only searches where the newest sample
-lies within 1e-13, relative, of the one 2m + 1 steps back; a run that
+lies within 4e-14, relative, of the one 2m + 1 steps back; a run that
 fails that filter or has a longer period takes every step, so neither
 bound changes a sample.  The kernel is pinned bit for bit to the loop it
 replaced, which called the closure spec.field(eta) at every stage and ran
