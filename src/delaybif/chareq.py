@@ -103,7 +103,10 @@ class RootSearchRegion:
         # The rightmost root always satisfies Re >= -(eta*a + 1/tau) and
         # Re <= eta*(b - a); its imaginary part sits on the principal branch,
         # |Im| < pi/tau.  Without a delay the one root is -eta*(a + b).
-        # Margins keep roots off the contour.  Where 1/tau overflows (tau
+        # Margins keep roots off the contour.  They are fixed, not scaled by
+        # 1/tau, so the region, and the roots it lists, depend on the time
+        # unit: QuadraticBD(3, 1, -2, 1) at eta = 0.7 lists one root, and the
+        # same model at 4 tau and eta/4 lists two.  Where 1/tau overflows (tau
         # below about 5.6e-309), every root but the rightmost, -eta*(a + b)
         # to rounding, lies below -1/tau, outside the float range: both delay
         # terms are clamped to the range, which changes no region that

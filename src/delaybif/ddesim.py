@@ -2,26 +2,27 @@
 
 This is the brute-force companion to the closed-form analysis: a fixed-step
 fourth-order integrator, plus verdict extraction (equilibrium, limit cycle,
-divergence) from the resulting trajectory.  dt must divide tau; delayed
-values come from nodes and interval midpoints of the stored history, the
-midpoints by cubic Hermite interpolation.  Fixed stepping keeps runs
-bit-reproducible; there is no adaptive error control.  A run stops where
-its tail has become periodic, bit for bit, without changing a sample; see
-integrate.
+divergence) from the resulting trajectory.  Fixed stepping keeps runs
+bit-reproducible; there is no adaptive error control.  This module owns the
+integration scheme, compiled once per model class into one loop;
+integrate states it.
 """
 from __future__ import annotations
 
+import ast
 import dataclasses
 import enum
+import functools
 import math
 import sys
+from array import array
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import Divergence, InvalidSpec, StepTooLarge
-from .models import ModelSpec, delay_of, equilibrium
+from .models import ModelSpec, _compiled, delay_of, equilibrium
 
 __all__ = [
     "DIVERGENCE_THRESHOLD",
@@ -117,24 +118,118 @@ def _step(config: SimConfig, tau: float) -> float:
     return config.dt if config.dt is not None else tau / 100.0
 
 
+# integrate's loop, for one model class: eta * f inlined wherever {f}
+# stands, its delay-only terms _d0, _d1, ... set by {d} wherever y changes,
+# and every kernel local but x and y named with a leading _.  It returns
+# the samples, the last index computed, and the period of a tail it stops
+# on, 0 on every other exit
+_TEMPLATE = """\
+def kernel(_x0, _n, _m, _dt, eta, _limit, *, {params}exp=exp):
+    # _new: this delay's Hermite midpoints, that of [t_j-1, t_j] built when
+    # node j lands, from _k1 and _fn, f at both nodes; _mids: the previous
+    # delay's, the ones this delay reads.  Step _i writes _xs[_i]
+    _xs = _array("d", [_x0]) * (_n + 1)
+    _half, _sixth, _eighth, _floor = 0.5 * _dt, _dt / 6.0, 0.125 * _dt, -_limit
+    x = y = _x = _x0
+    _i = 1
+    try:
+        {d}
+        _k1 = eta * ({f})
+        for _start in range(0, _n, _m):
+            _end = min(_start + _m, _n)
+            if _start:
+                _mids, _nodes = _new, _xs[_start - _m + 1:_end - _m + 1]
+            else:  # the constant history: f' = 0, so its midpoints are _x0 too
+                _mids = _nodes = [_x0] * _end
+            _new = []
+            for _i, y, _y_node in zip(range(_start + 1, _end + 1), _mids, _nodes):
+                {d}
+                x = _x + _half * _k1
+                _k2 = eta * ({f})
+                x = _x + _half * _k2
+                _k3 = eta * ({f})
+                x = _x + _dt * _k3
+                y = _y_node
+                {d}
+                _k4 = eta * ({f})
+                x = _x + _sixth * (_k1 + 2.0 * (_k2 + _k3) + _k4)
+                if not _floor <= x <= _limit:
+                    return _xs, _i - 1, 0
+                _xs[_i] = x
+                _fn = eta * ({f})
+                _new.append(0.5 * (_x + x) + _eighth * (_k1 - _fn))
+                _x, _k1 = x, _fn
+            # a periodic tail (see integrate): step _i + 1 reads only samples
+            # _lo .. _i and values computed from them
+            _lo = _i - 2 * _m
+            if _lo > 0 and abs(x - _xs[_lo - 1]) <= 4e-14 * abs(x):
+                _w = _xs[_lo:_i + 1]
+                try:
+                    _j = _xs.index(_w[0], max(_lo - 5 * _m, 0), _lo)
+                    while _xs[_j:_j + 2 * _m + 1] != _w:
+                        _j = _xs.index(_w[0], _j + 1, _lo)
+                except ValueError:  # no period yet
+                    pass
+                else:
+                    if 0.0 not in _w:
+                        return _xs, _i, _lo - _j
+    except OverflowError:  # exp raises where a product gives inf, caught by the band
+        return _xs, _i - 1, 0
+    return _xs, _n, 0
+"""
+
+
+class _DelayTerms(ast.NodeTransformer):
+    """Replaces each largest subexpression that reads y but not x, other
+    than y itself, by a name _d0, _d1, ...; ``terms`` maps their source to
+    the names."""
+
+    def __init__(self):
+        self.terms = {}
+
+    def visit(self, node):
+        if isinstance(node, ast.expr) and not isinstance(node, ast.Name):
+            names = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+            if "y" in names and "x" not in names:
+                source = ast.unparse(node)
+                name = self.terms.setdefault(source, f"_d{len(self.terms)}")
+                return ast.Name(name, ast.Load())
+        return self.generic_visit(node)
+
+
+@functools.cache
+def _kernel(cls):
+    """integrate's loop for a model class, compiled from its expression."""
+    params = _compiled(cls)[0]
+    delay = _DelayTerms()
+    f = ast.unparse(delay.visit(ast.parse(cls.expression, mode="eval")))
+    d = "; ".join(f"{name} = {source}" for source, name in delay.terms.items())
+    scope = {"exp": math.exp, "_array": array}
+    exec(_TEMPLATE.format(f=f, d=d, params="".join(p + ", " for p in params)), scope)
+    return scope["kernel"]
+
+
 def integrate(spec: ModelSpec, config: SimConfig) -> Trajectory:
     """Integrate x'(t) = eta*f(x(t), x(t-tau)) by the method of steps.
 
     Classic fourth-order Runge-Kutta with a fixed step dt = tau/m for a
-    whole number m.  dt must divide tau; delayed values come from nodes and
-    interval midpoints: stage k4 and the derivative at the new node read
-    node i-m+1 of the stored history, stages k2 and k3 the midpoint of
-    [i-m, i-m+1], where the cubic Hermite interpolant through the samples
-    and their derivatives is 0.5*(x_j + x_j+1) + dt/8*(f_j - f_j+1).  Each
-    midpoint is built once, when node j+1 lands, into a buffer of the
-    delay's m midpoints, and lives until the next delay has read it; each
-    delay reads the previous delay's buffer, and its nodes from a slice
-    taken before it starts.  So a run holds 8 bytes a sample: the kernel
-    writes each sample into one float64 buffer, which values wraps without
-    a copy, and the times add 8 more, 16 bytes a sample at the peak.  A
-    diverged run keeps a copy of its finite prefix alone.
-    The loop is spec.rk4, one call per run: the model's compiled kernel,
-    eta * f inlined at every stage.  History on [-tau, 0] is config.x_init.
+    whole number m; history on [-tau, 0] is config.x_init.  dt must divide
+    tau; delayed values come from nodes and interval midpoints: stage k4
+    and the derivative at the new node read node i-m+1 of the stored
+    history, stages k2 and k3 the midpoint of [i-m, i-m+1], where the cubic
+    Hermite interpolant through the samples and their derivatives is
+    0.5*(x_j + x_j+1) + dt/8*(f_j - f_j+1); the constant history has f' = 0,
+    so its midpoints are x_init.  Each midpoint is built once, when node
+    j+1 lands, into a buffer of the delay's m midpoints, and lives until
+    the next delay has read it; each delay reads the previous delay's
+    buffer, and its nodes from a slice taken before it starts.  So a run
+    holds 8 bytes a sample: the kernel writes each sample into one float64
+    buffer, which values wraps without a copy, and the times add 8 more, 16
+    bytes a sample at the peak.  A diverged run keeps a copy of its finite
+    prefix alone.
+    The loop is one call per run of a kernel compiled once per model class
+    from its expression: eta * f inlined at every stage, and the terms of f
+    that read y alone evaluated once per delayed value.
     After each delay the kernel looks for a periodic tail.  Step i + 1
     reads only samples i + 1 - 2m to i + 1 and values computed from them;
     if those equal the 2m + 1 samples p steps earlier, it reads what step
@@ -144,10 +239,11 @@ def integrate(spec: ModelSpec, config: SimConfig) -> Trajectory:
     p, which gives the samples of running every step.  The earlier samples
     must start at sample 0 or later, since the constant history before it
     has no Hermite midpoints, and hold no zero: 0.0 == -0.0, but the two
-    are written differently.  The kernel searches only where the newest sample
-    is within 4e-14, relative, of the one 2m + 1 steps back, and only
-    periods of up to 5m steps.  Neither bound can change a sample: a run that
-    misses one takes its next steps, as if there were no stop.
+    are written differently.  The kernel searches only where the newest
+    sample is within 4e-14, relative, of the one 2m + 1 steps back (tails
+    that toggle in their last bits span about 2e-14), and only periods of
+    up to 5m steps.  Neither bound can change a sample: a run that misses
+    one takes its next steps, as if there were no stop.
 
     Raises
     ------
@@ -186,7 +282,8 @@ def integrate(spec: ModelSpec, config: SimConfig) -> Trajectory:
             "more than a list can index")
     n = int(round(steps))
     try:
-        xs, i, p = spec.rk4(float(config.x_init), n, m, dt, config.eta, DIVERGENCE_THRESHOLD)
+        xs, i, p = _kernel(type(spec))(float(config.x_init), n, m, dt, config.eta,
+                                       DIVERGENCE_THRESHOLD, **spec.constants())
     except MemoryError:
         raise InvalidSpec(
             f"t_end = {config.t_end:.6g} takes {n} steps of dt = {dt:.6g}: "

@@ -9,7 +9,6 @@ about the equilibrium, collected in :class:`TaylorCoefficients`.
 """
 from __future__ import annotations
 
-import ast
 import functools
 import math
 import sys
@@ -128,19 +127,13 @@ class ModelSpec:
     "_".  ``constants()`` gives their values, by default the model's
     attributes of those names.  Compiled once per class, the expression
     gives ``taylor_coefficients()``, from one run of it on truncated Taylor
-    series (see _expansion), ``field(eta)``, the closure ``f(x, x_delayed)`` of
-    eta times f, and the RK4 kernel run by ``rk4``, with f inlined at every
-    stage, its delay-only terms evaluated once per delayed value, each
-    Hermite midpoint of the history built once, when its right node lands
-    (x_init throughout the first delay, where the history is constant),
-    and kept only until the next delay has read it, so a run holds 8 bytes
-    a sample, in the one float64 buffer integrate hands to numpy without a
-    copy (16 bytes a sample at its peak, with the times), and a stop where
-    the run's tail has become periodic, bit for bit, as ddesim.integrate
-    states.  eta and the constants are arguments, never source.  Write f
-    Horner in x and group its x-free part, as the built-in models do: the
-    kernel then takes that part as one term per delayed value, and each
-    stage costs two operations per degree in x.
+    series (see _expansion), and ``field(eta)``, the closure
+    ``f(x, x_delayed)`` of eta times f; ddesim compiles it into the RK4
+    kernel that ``rk4`` runs (ddesim.integrate states the scheme).  eta and
+    the constants are arguments, never source.  Write f Horner in x and
+    group its x-free part, as the built-in models do: the kernel then takes
+    that part as one term per delayed value, and each stage costs two
+    operations per degree in x.
     A variant may also supply ``mu2_shape(epsilon=None)``, its own mu2
     derived by hand as a function of epsilon, at its own epsilon by
     default: a route to mu2 independent of the closed form.  It is None
@@ -161,7 +154,8 @@ class ModelSpec:
     def rk4(self, x0: float, n: int, m: int, dt: float, eta: float, limit: float):
         """(samples, last computed index, period; 0 unless the run stopped)
         of ddesim.integrate's n RK4 steps."""
-        return _compiled(type(self))[2](x0, n, m, dt, eta, limit, **self.constants())
+        from .ddesim import _kernel
+        return _kernel(type(self))(x0, n, m, dt, eta, limit, **self.constants())
 
     def rhs(self, x: float, x_delayed: float, eta: float) -> float:
         """eta * f(x, x_delayed), through a field bound for this one call."""
@@ -175,118 +169,18 @@ class ModelSpec:
             *_expansion(type(self))(self.equilibrium().x_e, **self.constants()), self.tau)
 
 
-# the field and the integrator loop of ddesim.integrate, with eta * f
-# inlined wherever {f} stands and its delay-only terms _d0, _d1, ... set by
-# {d} wherever y changes; every kernel local but x and y starts with _.
-# The loop returns the period p of a tail it stops on (integrate states the
-# rule), 0 on every other exit
-_TEMPLATE = """\
-def field(eta, *, {params}exp=exp):
-    return lambda x, y: eta * ({expression})
-
-def kernel(_x0, _n, _m, _dt, eta, _limit, *, {params}exp=exp):
-    # _new: this delay's cubic Hermite midpoints, that of [t_j-1, t_j] built
-    # once when node j lands, from both nodes, _k1 and _fn, f at the new
-    # node; _mids: the previous delay's, the ones this delay reads.  A
-    # midpoint lives until the next delay has read it, so a run holds the
-    # 8 bytes of each sample in the one float64 buffer _xs, which integrate
-    # hands to numpy as it is, and m midpoints.  Step _i writes _xs[_i].
-    # array is loaded here, so that commands that never simulate skip it
-    from array import array as _array
-    _xs = _array("d", [_x0]) * (_n + 1)
-    _half, _sixth, _eighth, _floor = 0.5 * _dt, _dt / 6.0, 0.125 * _dt, -_limit
-    x = y = _x = _x0
-    _i = 1
-    try:
-        {d}
-        _k1 = eta * ({f})
-        for _start in range(0, _n, _m):
-            _end = min(_start + _m, _n)
-            if _start:
-                _mids, _nodes = _new, _xs[_start - _m + 1:_end - _m + 1]
-            else:  # the constant history: f' = 0, so its midpoints are _x0 too
-                _mids = _nodes = [_x0] * _end
-            _new = []
-            for _i, y, _y_node in zip(range(_start + 1, _end + 1), _mids, _nodes):
-                {d}
-                x = _x + _half * _k1
-                _k2 = eta * ({f})
-                x = _x + _half * _k2
-                _k3 = eta * ({f})
-                x = _x + _dt * _k3
-                y = _y_node
-                {d}
-                _k4 = eta * ({f})
-                x = _x + _sixth * (_k1 + 2.0 * (_k2 + _k3) + _k4)
-                if not _floor <= x <= _limit:
-                    return _xs, _i - 1, 0
-                _xs[_i] = x
-                _fn = eta * ({f})
-                _new.append(0.5 * (_x + x) + _eighth * (_k1 - _fn))
-                _x, _k1 = x, _fn
-            # step _i + 1 reads only samples _lo .. _i and values computed
-            # from them; if those equal the samples p steps earlier, it reads
-            # what step _i + 1 - p read and repeats its sample, and so does
-            # every later step: the rest of the run repeats the last p
-            # samples, a constant being p = 1.  The earlier window must start
-            # at sample 0 or later, past the constant history, and hold no
-            # zero: 0.0 == -0.0, but the two print differently.  Periods are
-            # searched only where x is within 4e-14, relative, of the sample
-            # before _lo (tails that toggle in their last bits span about
-            # 2e-14), and only up to 5 delays: a run that fails either test
-            # just takes its next steps
-            _lo = _i - 2 * _m
-            if _lo > 0 and abs(x - _xs[_lo - 1]) <= 4e-14 * abs(x):
-                _w = _xs[_lo:_i + 1]
-                try:
-                    _j = _xs.index(_w[0], max(_lo - 5 * _m, 0), _lo)
-                    while _xs[_j:_j + 2 * _m + 1] != _w:
-                        _j = _xs.index(_w[0], _j + 1, _lo)
-                except ValueError:  # no period yet
-                    pass
-                else:
-                    if 0.0 not in _w:
-                        return _xs, _i, _lo - _j
-    except OverflowError:  # exp raises where a product gives inf, caught by the band
-        return _xs, _i - 1, 0
-    return _xs, _n, 0
-"""
-
-
-class _DelayTerms(ast.NodeTransformer):
-    """Replaces each largest subexpression that reads y but not x, other
-    than y itself, by a name _d0, _d1, ...; ``terms`` maps their source to
-    the names."""
-
-    def __init__(self):
-        self.terms = {}
-
-    def visit(self, node):
-        if isinstance(node, ast.expr) and not isinstance(node, ast.Name):
-            names = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
-            if "y" in names and "x" not in names:
-                source = ast.unparse(node)
-                name = self.terms.setdefault(source, f"_d{len(self.terms)}")
-                return ast.Name(name, ast.Load())
-        return self.generic_visit(node)
-
-
 @functools.cache
 def _compiled(cls) -> tuple:
-    """(constant names, field, kernel, code object of the expression) of a
-    model class."""
+    """(constant names, field, code object of the expression) of a model
+    class."""
     code = compile(cls.expression, f"<{cls.__name__}.expression>", "eval")
     params = tuple(name for name in dict.fromkeys(code.co_names)
                    if name not in ("x", "y", "exp"))
     if any(name == "eta" or name.startswith("_") for name in params):
         raise InvalidSpec(f"{cls.__name__}.expression names a reserved constant: {params}")
-    delay = _DelayTerms()
-    f = ast.unparse(delay.visit(ast.parse(cls.expression, mode="eval")))
-    d = "; ".join(f"{name} = {source}" for source, name in delay.terms.items())
-    scope = {"exp": math.exp}
-    exec(_TEMPLATE.format(expression=cls.expression, f=f, d=d,
-                          params="".join(p + ", " for p in params)), scope)
-    return params, scope["field"], scope["kernel"], code
+    field = eval(f"lambda eta, *, {''.join(p + ', ' for p in params)}exp=exp: "
+                 f"lambda x, y: eta * ({cls.expression})", {"exp": math.exp})
+    return params, field, code
 
 
 # the key 17i + 20j of the monomial u^i v^j of a jet, for each coefficient:
@@ -395,7 +289,7 @@ def _expansion(cls):
     """The function of x_e and the constants that gives the nine Taylor
     coefficients of a model class: its expression, evaluated once on the
     jets x_e + u and x_e + v, with each constant a jet of its own name."""
-    params, _, _, code = _compiled(cls)
+    params, _, code = _compiled(cls)
     root = _Jet()
     root.lines = lines = []
     f = eval(code, {**{name: root._jet({0: name}) for name in params}, "exp": _exp,

@@ -58,6 +58,13 @@ ROOT_UNSTABLE = (0.2171666436825234, 1.0787558829427432)   # a=0.5 b=2 tau=2 eta
 WRIGHT_SIGMA = 0.31813150520476414
 WRIGHT_U2 = 1.3372357014306894
 
+# Wright's equation x' = -alpha x(t - 1)(1 + x(t)): its slowly oscillating
+# cycles bifurcate from alpha = pi/2 as x ~ A cos(pi t/2) with
+# alpha = pi/2 + (3 pi - 2) A^2/40 (Chow & Mallet-Paret, J. Differential
+# Equations 26, 1977), so mu2 = 4 (alpha - pi/2)/A^2 = (3 pi - 2)/10 per
+# unit gain at tau = 1: 0.742477796076937971538793... at 40 digits
+WRIGHT_MU2 = 0.742477796076938
+
 # Exponential birth-rate model mu2 at x0=1 for chosen epsilon, at 40 digits:
 # f'' and f''' of p y e^(-y) - x by numerical differentiation at N* = q,
 # gamma = x0 = 1, halved and divided by 6 (xi_yy = f''/2, xi_yyy = f'''/6),

@@ -6,6 +6,7 @@ node-and-midpoint Hermite stencil commits no truncation error at all.
 """
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -133,6 +134,23 @@ def test_gain_rescales_time():
     t1 = integrate(Generic(c2), SimConfig(eta=1.0, x_init=0.5, t_end=50.0))
     t2 = integrate(Generic(c), SimConfig(eta=2.0, x_init=0.5, t_end=50.0))
     assert np.allclose(t1.values, t2.values, atol=1e-12)
+
+
+@pytest.mark.parametrize("s", [4.0, 0.25])
+@pytest.mark.parametrize("spec, eta, x_init, t_end", [
+    (CubicBD(k=9.0, mu=1.0, lam=-7.0, tau=0.187), 1.05, 0.9, 60.0),
+    (CubicBD(k=4.75, mu=1.0, lam=-7.0, tau=1.0), 1.05, 1.4, 300.0),
+    (Nicholson(gamma=1.0, p_rate=50.0, x0_size=1.0, tau=1.0), 0.2, 3.0, 300.0),
+], ids=["readme", "second", "nicholson"])
+def test_time_scaling_is_exact(spec, eta, x_init, t_end, s):
+    # (eta, tau, t_end) -> (eta/s, s tau, s t_end) leaves eta*tau fixed; for
+    # s a power of two every stage scales exactly, so the samples are the
+    # same bit for bit, and the default step and the times scale by s
+    base = integrate(spec, SimConfig(eta=eta, x_init=x_init, t_end=t_end))
+    scaled = integrate(replace(spec, tau=s * spec.tau),
+                       SimConfig(eta=eta / s, x_init=x_init, t_end=s * t_end))
+    assert scaled.values.tobytes() == base.values.tobytes()
+    assert scaled.times.tobytes() == (s * base.times).tobytes()
 
 
 def test_step_halving_converged():

@@ -62,6 +62,7 @@ from _oracles import (
     G_TILDE_0,
     H_TILDE_0,
     NICHOLSON_MU2,
+    WRIGHT_MU2,
 )
 
 
@@ -156,6 +157,43 @@ def test_paths_agree_at_the_cone_edge(gap):
         hopf = critical_eta(c)
         assert mu2_center_manifold(c, hopf).mu2 / hopf.eta_c == pytest.approx(
             mu2_closed_form(c), rel=1e-12)
+
+
+@pytest.mark.parametrize("tau", [0.5, 1.0, 2.0, 4.0])
+def test_wright_equation_pins_the_normalization(tau):
+    # Generic's polynomial is Wright's equation exactly, -y(1 + x) with the
+    # delay tau; both routes give the literature's mu2 per unit absolute
+    # gain at tau = 1, to 2 ulps: CM mu2 * tau, and the closed form, per
+    # unit relative gain, times eta_c * tau
+    coeffs = taylor_coefficients(
+        Generic(TaylorCoefficients(xi_x=0.0, xi_y=-1.0, xi_xy=-1.0, tau=tau)))
+    hopf = critical_eta(coeffs)
+    ulp = math.ulp(WRIGHT_MU2)
+    assert abs(mu2_center_manifold(coeffs, hopf).mu2 * tau - WRIGHT_MU2) <= 2 * ulp
+    assert abs(mu2_closed_form(coeffs) * hopf.eta_c * tau - WRIGHT_MU2) <= 2 * ulp
+
+
+@pytest.mark.parametrize("c", [0.5, 2.0, 4.0])
+def test_state_scaling_divides_mu2_by_c_squared(c, ex1_coeffs, ex2_coeffs, nich_spec):
+    # x - x_e -> c (x - x_e) divides the quadratic coefficients by c and the
+    # cubic ones by c^2, so the cycle's amplitude by c and mu2 by c^2: for
+    # c a power of two, exactly, on either route
+    rng = np.random.default_rng(19)
+    sets = [ex1_coeffs, ex2_coeffs, taylor_coefficients(nich_spec)]
+    for _ in range(50):
+        b = float(rng.uniform(0.1, 10.0))
+        nl = rng.uniform(-3.0, 3.0, size=7)
+        sets.append(TaylorCoefficients(-float(rng.uniform(0.0, 0.99)) * b, -b, *nl,
+                                       tau=float(rng.uniform(0.05, 5.0))))
+    for coeffs in sets:
+        scaled = replace(coeffs, **{name: getattr(coeffs, name) / c
+                                    for name in ("xi_xx", "xi_xy", "xi_yy")},
+                         **{name: getattr(coeffs, name) / (c * c)
+                            for name in ("xi_xxx", "xi_xxy", "xi_xyy", "xi_yyy")})
+        hopf = critical_eta(coeffs)
+        assert mu2_center_manifold(scaled, hopf).mu2 == \
+            mu2_center_manifold(coeffs, hopf).mu2 / (c * c)
+        assert mu2_closed_form(scaled) == mu2_closed_form(coeffs) / (c * c)
 
 
 # --- shape functions -------------------------------------------------------

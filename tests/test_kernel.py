@@ -10,7 +10,8 @@ lies within 4e-14, relative, of the one 2m + 1 steps back; a run that
 fails that filter or has a longer period takes every step, so neither
 bound changes a sample.  The kernel is pinned bit for bit to the loop it
 replaced, which called the closure spec.field(eta) at every stage and ran
-every step; that loop is kept here as the oracle.
+every step; that loop is kept here as the oracle.  The kernel, its
+template and its compile live in ddesim, beside integrate.
 """
 import ast
 import math
@@ -41,7 +42,7 @@ from delaybif import (
     rate_of_convergence,
 )
 
-from delaybif import models
+from delaybif import ddesim
 from delaybif.ddesim import DIVERGENCE_THRESHOLD
 
 
@@ -209,7 +210,7 @@ def test_per_stage_part_is_horner_in_x(cls, degree):
     # what the kernel evaluates at every stage, once the terms that read y
     # alone are taken per delayed value: Horner in x costs 2 operations a
     # degree
-    stage = models._DelayTerms().visit(ast.parse(cls.expression, mode="eval"))
+    stage = ddesim._DelayTerms().visit(ast.parse(cls.expression, mode="eval"))
     nodes = list(ast.walk(stage))
     assert "y" not in {node.id for node in nodes if isinstance(node, ast.Name)}
     assert sum(isinstance(node, (ast.BinOp, ast.UnaryOp)) for node in nodes) <= 2 * degree
